@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from qutrit_teleport import algebra, certify, dataset, tomography
+from qutrit_teleport import certify, dataset, tomography
 
 
 def main(argv=None):
@@ -29,30 +29,31 @@ def main(argv=None):
     else:
         chi, _ = dataset.reference_chi()
 
-    rows = []
-    for (p1, p2), psi in certify.phase_grid_states(
-        *args.grid, closed_interval=args.closed_interval
-    ):
-        rho = tomography.apply_process(chi, algebra.projector(psi), repair=True)
-        mu, _ = certify.robustness_mu(rho)
-        verdict = "genuine_qutrit" if mu > certify.VERDICT_TOL else "qubit_simulable"
-        rows.append((p1, p2, mu, verdict))
+    summary = certify.batch_certification(
+        lambda rho: tomography.apply_process(chi, rho, repair=True),
+        grid=args.grid,
+        closed_interval=args.closed_interval,
+    )
+    states = certify.phase_grid_states(*args.grid, closed_interval=args.closed_interval)
 
     out = Path(args.out)
     with out.open("w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["phi1", "phi2", "mu", "verdict"])
-        for p1, p2, mu, verdict in rows:
+        for ((p1, p2), _), mu in zip(states, summary["mus"]):
+            verdict = "genuine_qutrit" if mu > certify.VERDICT_TOL else "qubit_simulable"
             w.writerow([f"{p1:.6f}", f"{p2:.6f}", f"{mu:.6f}", verdict])
 
-    mus = [mu for _, _, mu, v in rows if v == "genuine_qutrit"]
-    n_genuine = len(mus)
     print(f"wrote {out}")
-    print(f"states: {len(rows)}, genuine: {n_genuine}, simulable: {len(rows) - n_genuine}")
-    if mus:
-        mean = sum(mus) / len(mus)
-        var = sum((m - mean) ** 2 for m in mus) / len(mus)
-        print(f"mean mu of genuine: {mean:.4f} +/- {var ** 0.5:.4f}")
+    print(
+        f"states: {summary['n_states']}, genuine: {summary['n_genuine']}, "
+        f"simulable: {summary['n_simulable']}"
+    )
+    if summary["n_genuine"]:
+        print(
+            f"mean mu of genuine: {summary['mean_mu_of_genuine']:.4f} "
+            f"+/- {summary['std_mu_of_genuine']:.4f}"
+        )
     return 0
 
 

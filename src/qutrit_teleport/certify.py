@@ -287,8 +287,9 @@ def batch_certification(channel, grid=(20, 20), closed_interval=False):
 
     ``channel`` maps a density matrix to a density matrix (e.g. a
     process-matrix application). Reports genuine/simulable counts, the
-    mean and std of mu over the genuine states, and borderline states
-    (|mu| below the verdict tolerance) counted separately.
+    mean and std of mu over the genuine states (None when there are
+    none), and borderline states (|mu| below the verdict tolerance)
+    counted separately.
     """
     mus = []
     n_borderline = 0
@@ -305,8 +306,8 @@ def batch_certification(channel, grid=(20, 20), closed_interval=False):
         "n_genuine": int(genuine.sum()),
         "n_simulable": int((~genuine).sum()),
         "n_borderline": n_borderline,
-        "mean_mu_of_genuine": float(mus[genuine].mean()) if genuine.any() else float("nan"),
-        "std_mu_of_genuine": float(mus[genuine].std()) if genuine.any() else float("nan"),
+        "mean_mu_of_genuine": float(mus[genuine].mean()) if genuine.any() else None,
+        "std_mu_of_genuine": float(mus[genuine].std()) if genuine.any() else None,
         "mus": mus,
     }
 

@@ -44,7 +44,7 @@ def _round_floats(obj, digits=6):
 
 def emit_report(name, config, results, out_dir=None):
     report = {"pipeline": name, "config": config, "results": _round_floats(results)}
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -53,8 +53,18 @@ def emit_report(name, config, results, out_dir=None):
     return report
 
 
+def _trials(args):
+    """The MC trial count; the ensemble std needs at least two."""
+    if args.trials < 2:
+        raise ParseError(f"--trials must be at least 2, got {args.trials}")
+    return args.trials
+
+
 def cmd_teleport_sim(args):
-    vis = optics.VisibilityModel(default=args.visibility)
+    try:
+        vis = optics.VisibilityModel(default=args.visibility)
+    except ValueError as e:
+        raise ParseError(f"--visibility {args.visibility}: {e}") from None
     rows = []
     for i, phi in enumerate(protocol.benchmark_input_states(), 1):
         rho, prob = optics.run_teleportation(phi, visibility=vis)
@@ -117,10 +127,12 @@ def cmd_process(args):
 
 def _parse_grid(spec):
     try:
-        a, b = spec.lower().split("x")
-        return int(a), int(b)
+        a, b = (int(n) for n in spec.lower().split("x"))
     except ValueError:
         raise ParseError(f"grid must look like 20x20, got {spec!r}") from None
+    if a < 1 or b < 1:
+        raise ParseError(f"grid sizes must be positive, got {spec!r}")
+    return a, b
 
 
 def cmd_certify(args):
@@ -156,6 +168,7 @@ def cmd_certify(args):
 
 
 def cmd_mc_errors(args):
+    trials = _trials(args)
     chi, _ = dataset.reference_chi()
     rng = np.random.default_rng(args.seed)
     inputs = dataset.reference_targets()[:9]
@@ -171,7 +184,7 @@ def cmd_mc_errors(args):
         ]
         return tomography.process_fidelity(tomography.reconstruct_process(pairs).chi)
 
-    ens = mc.poisson_resample(tables, statistic, args.trials, args.seed)
+    ens = mc.poisson_resample(tables, statistic, trials, args.seed)
     results = {
         "statistic": "process_fidelity",
         "mean": ens.mean,
@@ -184,7 +197,7 @@ def cmd_mc_errors(args):
 
 
 def cmd_mub_study(args):
-    results = mc.mub_design_study(rate=args.exposure, trials=args.trials, seed=args.seed)
+    results = mc.mub_design_study(rate=args.exposure, trials=_trials(args), seed=args.seed)
     config = {"seed": args.seed, "trials": args.trials, "rate": args.exposure}
     emit_report("mub_study", config, results, args.out)
     return 0
@@ -194,7 +207,7 @@ def cmd_full_reproduction(args):
     checks = []
 
     def check(name, value, target, tol):
-        ok = abs(value - target) <= tol
+        ok = value is not None and abs(value - target) <= tol
         checks.append({"name": name, "value": value, "target": target, "tol": tol, "ok": ok})
         return ok
 

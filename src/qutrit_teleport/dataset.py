@@ -97,6 +97,8 @@ def load_matrix(path):
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read file: {e.strerror}") from None
     return parse_matrix(doc, source=str(path))
 
 

@@ -245,26 +245,6 @@ class HWP(OpticalElement):
 
 
 @dataclass(frozen=True)
-class PhaseShift(OpticalElement):
-    """Phase factor exp(i phase) on modes matching (arms, rails, pol)."""
-
-    phase: float
-    arms: tuple
-    rails: tuple = None
-    pol: str = None
-    kind: str = field(default="PhaseShift", init=False)
-
-    def action(self, mode):
-        if mode.arm not in self.arms:
-            return None
-        if self.rails is not None and mode.rail not in self.rails:
-            return None
-        if self.pol is not None and mode.pol != self.pol:
-            return None
-        return [(mode, np.exp(1j * self.phase))]
-
-
-@dataclass(frozen=True)
 class PostSelectionPattern:
     """Required exact photon counts per arm predicate.
 
@@ -279,6 +259,10 @@ class PostSelectionPattern:
                 return False
         return True
 
+    def keep(self, state):
+        """The matching terms of ``state``, not renormalized."""
+        return FockState({p: a for p, a in state.terms.items() if self.matches(p)})
+
 
 def arm_predicate(arm, exclude_dump=True):
     if exclude_dump:
@@ -288,11 +272,11 @@ def arm_predicate(arm, exclude_dump=True):
 
 def post_select(state, pattern):
     """Keep matching patterns; return (renormalized state, kept probability)."""
-    kept = {p: a for p, a in state.terms.items() if pattern.matches(p)}
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
+    kept = pattern.keep(state)
+    prob = kept.norm_squared()
     if prob == 0:
         return FockState(), 0.0
-    return FockState(kept).scaled(1.0 / math.sqrt(prob)), prob
+    return kept.scaled(1.0 / math.sqrt(prob)), prob
 
 
 @dataclass(frozen=True)
@@ -506,10 +490,7 @@ def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
         if stage.name == "PBS1":
             state = _relabel_arms(state, _PBS1_RELABEL)
         if stage.post_selection is not None:
-            kept = {
-                p: a for p, a in state.terms.items() if stage.post_selection.matches(p)
-            }
-            state = FockState(kept)
+            state = stage.post_selection.keep(state)
         if stage.name == through_stage:
             return state
     raise AssertionError("unreachable")
@@ -618,7 +599,6 @@ __all__ = [
     "PBS",
     "BD",
     "HWP",
-    "PhaseShift",
     "PostSelectionPattern",
     "post_select",
     "arm_predicate",

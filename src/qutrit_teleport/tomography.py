@@ -12,6 +12,7 @@ chi[0,0] = 1 and trace preservation reads sum_lk chi_lk s_k s_l = I.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,9 +56,12 @@ class CountsTable:
     exposure: float
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
         if len(counts) != 9:
             raise ValueError("expected 9 counts")
+        if not all(float(c).is_integer() for c in counts):
+            raise ValueError("counts must be integers")
+        counts = tuple(int(c) for c in counts)
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative")
         if self.exposure <= 0:
@@ -208,33 +212,34 @@ _N = 9
 _SQRT2 = math.sqrt(2.0)
 
 
+_DIAG = np.arange(_N)
+_ROW, _COL = np.triu_indices(_N, 1)  # row-major; (re, im) pairs follow the diagonal
+
+
 def _chi_from_params(x):
-    chi = np.zeros((_N, _N), dtype=complex)
-    idx = 0
-    for i in range(_N):
-        chi[i, i] = x[idx]
-        idx += 1
-    for i in range(_N):
-        for j in range(i + 1, _N):
-            val = (x[idx] + 1j * x[idx + 1]) / _SQRT2
-            chi[i, j] = val
-            chi[j, i] = val.conjugate()
-            idx += 2
+    """Parameters (..., 81) -> Hermitian chi (..., 9, 9)."""
+    x = np.asarray(x, dtype=float)
+    upper = (x[..., _N::2] + 1j * x[..., _N + 1 :: 2]) / _SQRT2
+    chi = np.zeros(x.shape[:-1] + (_N, _N), dtype=complex)
+    chi[..., _DIAG, _DIAG] = x[..., :_N]
+    chi[..., _ROW, _COL] = upper
+    chi[..., _COL, _ROW] = upper.conj()
     return chi
 
 
 def _params_from_chi(chi):
-    x = np.zeros(_N * _N)
-    idx = 0
-    for i in range(_N):
-        x[idx] = chi[i, i].real
-        idx += 1
-    for i in range(_N):
-        for j in range(i + 1, _N):
-            x[idx] = _SQRT2 * chi[i, j].real
-            x[idx + 1] = _SQRT2 * chi[i, j].imag
-            idx += 2
+    upper = chi[_ROW, _COL]
+    x = np.empty(_N * _N)
+    x[:_N] = np.diag(chi).real
+    x[_N::2] = _SQRT2 * upper.real
+    x[_N + 1 :: 2] = _SQRT2 * upper.imag
     return x
+
+
+# chi of each unit parameter vector: an orthonormal basis of the Hermitian
+# 9x9 matrices, from which every linear map of the chi fit is built.
+_PARAM_BASIS = _chi_from_params(np.eye(_N * _N))
+_PARAM_BASIS.flags.writeable = False
 
 
 def apply_process(chi, rho, repair=False):
@@ -252,9 +257,9 @@ def apply_process(chi, rho, repair=False):
 
 
 def tp_matrix(chi):
-    """sum_lk chi_lk sigma_k sigma_l; equals I iff chi is trace preserving."""
+    """sum_lk chi_lk sigma_k sigma_l, over any leading axes; I iff chi is trace preserving."""
     chi = np.asarray(chi, dtype=complex)
-    return np.einsum("lk,kab,lbc->ac", chi, _BASIS_STACK, _BASIS_STACK)
+    return np.einsum("...lk,kab,lbc->...ac", chi, _BASIS_STACK, _BASIS_STACK)
 
 
 def chi_ideal():
@@ -307,35 +312,36 @@ def mub_fidelities(chi, repair=False):
 # --- chi reconstruction ---------------------------------------------------
 
 
+def _real_rows(outs):
+    """(m, 3, 3, 81) outputs -> real (18 m, 81) rows: Re then Im of each output."""
+    rows = np.empty((len(outs), 2) + outs.shape[1:])
+    rows[:, 0] = outs.real
+    rows[:, 1] = outs.imag
+    return rows.reshape(-1, _N * _N)
+
+
 def _design_operator(inputs):
-    """Real 81x81 matrix mapping chi parameters to stacked output entries."""
-    cols = []
-    for col in range(_N * _N):
-        e = np.zeros(_N * _N)
-        e[col] = 1.0
-        chi = _chi_from_params(e)
-        outs = [apply_process(chi, algebra.projector(phi)) for phi in inputs]
-        cols.append(np.concatenate([np.r_[o.real.ravel(), o.imag.ravel()] for o in outs]))
-    return np.array(cols).T
+    """Real (18 n, 81) matrix mapping chi parameters to stacked output entries."""
+    rhos = np.array([algebra.projector(phi) for phi in inputs])
+    # the per-input superoperator (sigma_l rho_n sigma_k)_ad is passed inline
+    # so that it is freed before the real rows are allocated
+    outs = np.einsum(
+        "plk,nlkad->nadp",
+        _PARAM_BASIS,
+        np.einsum("lab,nbc,kcd->nlkad", _BASIS_STACK, rhos, _BASIS_STACK),
+    )
+    return _real_rows(outs)
 
 
-_TP_CACHE = None
-
-
+@functools.cache
 def _tp_constraint():
-    """Affine TP constraint rows M x = b in parameter space (cached pinv)."""
-    global _TP_CACHE
-    if _TP_CACHE is None:
-        rows = []
-        for col in range(_N * _N):
-            e = np.zeros(_N * _N)
-            e[col] = 1.0
-            t = tp_matrix(_chi_from_params(e))
-            rows.append(np.r_[t.real.ravel(), t.imag.ravel()])
-        M = np.array(rows).T
-        b = np.r_[np.eye(3).ravel(), np.zeros(9)]
-        _TP_CACHE = (M, np.linalg.pinv(M), b)
-    return _TP_CACHE
+    """Affine TP constraint rows M x = b in parameter space, with pinv(M)."""
+    M = _real_rows(np.moveaxis(tp_matrix(_PARAM_BASIS), 0, -1)[np.newaxis])
+    b = np.r_[np.eye(3).ravel(), np.zeros(9)]
+    arrays = (M, np.linalg.pinv(M), b)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def project_tp(chi):
@@ -410,29 +416,25 @@ def reconstruct_process(pairs, tol=1e-9, max_iter=20000, physical=True):
 
     # FISTA from the projected unconstrained interpolant.
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if not physical:
-        chi = _chi_from_params(x)
-        residual = float(np.sum((A @ x - b) ** 2))
-        return ProcessFit(chi=chi, residual=residual, n_iterations=0)
-    x = proj(x)
-    z, t_mom = x.copy(), 1.0
-    prev = np.inf
-    it = 0
-    for it in range(max_iter):
-        x_new = proj(z - step * (gram @ z - atb))
-        t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
-        z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
-        obj = float(np.sum((A @ x_new - b) ** 2))
-        moved = np.abs(x_new - x).max()
-        x, t_mom = x_new, t_new
-        if moved < tol and abs(prev - obj) < tol * max(1.0, obj):
-            break
-        prev = obj
-    else:
-        raise SolverError("projected gradient did not converge")
-    chi = _chi_from_params(x)
+    n_iterations = 0
+    if physical:
+        x = proj(x)
+        z, t_mom = x.copy(), 1.0
+        prev = np.inf
+        for n_iterations in range(1, max_iter + 1):
+            x_new = proj(z - step * (gram @ z - atb))
+            t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
+            z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
+            obj = float(np.sum((A @ x_new - b) ** 2))
+            moved = np.abs(x_new - x).max()
+            x, t_mom = x_new, t_new
+            if moved < tol and abs(prev - obj) < tol * max(1.0, obj):
+                break
+            prev = obj
+        else:
+            raise SolverError("projected gradient did not converge")
     residual = float(np.sum((A @ x - b) ** 2))
-    return ProcessFit(chi=chi, residual=residual, n_iterations=it + 1)
+    return ProcessFit(chi=_chi_from_params(x), residual=residual, n_iterations=n_iterations)
 
 
 def check_process_matrix(chi, tp_tol=TP_TOL, psd_tol=PSD_TOL):

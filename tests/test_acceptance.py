@@ -1,6 +1,7 @@
 """Acceptance gate: the ten headline reproduction criteria.
 
-Each test prints one `ACCEPTANCE n (...): PASS|FAIL` line.
+``conftest.py`` prints one `ACCEPTANCE n (name): PASS|FAIL` line per test;
+a failing assertion names the criterion it checks.
 
 Criterion 6 refits chi from the nine printed density matrices. The refit
 is the CPTP-constrained Frobenius least-squares chi that
@@ -33,11 +34,6 @@ from qutrit_teleport.optics import Mode, H, V
 S2 = math.sqrt(2)
 
 
-def report(num, name, ok):
-    print(f"\nACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 def test_acceptance_01_ideal_protocol():
     t0 = time.perf_counter()
     chan = protocol.ChannelSpec.maximal()
@@ -48,7 +44,8 @@ def test_acceptance_01_ideal_protocol():
             worst = max(worst, abs(abs(np.vdot(phi, out)) ** 2 - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
-    assert report(1, "ideal protocol, 9 outcomes x 10 inputs, fidelity 1", ok), (
+    assert ok, (
+        "ACCEPTANCE 1 (ideal protocol, 9 outcomes x 10 inputs, fidelity 1): "
         f"worst deviation {worst:.2e}, elapsed {elapsed:.2f}s"
     )
 
@@ -123,7 +120,8 @@ def test_acceptance_02_optical_golden_path():
     exact_rational = protocol.success_probability("maximal_single_basis") == Fraction(1, 54)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and prob_dev < 1e-9 and exact_rational and elapsed < 10.0
-    assert report(2, "optical golden path, stages + 1/18 + 1/54", ok), (
+    assert ok, (
+        "ACCEPTANCE 2 (optical golden path, stages + 1/18 + 1/54): "
         f"worst amp dev {worst:.2e}, prob dev {prob_dev:.2e}, elapsed {elapsed:.1f}s"
     )
 
@@ -141,7 +139,7 @@ def test_acceptance_03_noise_term_cancellation():
         (abs(a) for p, a in s9.terms.items() if p not in allowed), default=0.0
     )
     ok = leftover < 1e-12
-    assert report(3, "noise terms |02>/|20> cancelled", ok), f"leftover {leftover:.2e}"
+    assert ok, f"ACCEPTANCE 3 (noise terms |02>/|20> cancelled): leftover {leftover:.2e}"
 
 
 def test_acceptance_04_visibility_claim():
@@ -159,7 +157,7 @@ def test_acceptance_04_visibility_claim():
             fids.append(algebra.fidelity(rho, phi))
         super_ok &= all(a > b for a, b in zip(fids, fids[1:]))
     ok = basis_ok and super_ok
-    assert report(4, "visibility spares basis states, damps superpositions", ok)
+    assert ok, "ACCEPTANCE 4 (visibility spares basis states, damps superpositions)"
 
 
 def test_acceptance_05_published_state_fidelities():
@@ -176,7 +174,8 @@ def test_acceptance_05_published_state_fidelities():
     anomaly_ok = 0.02 < devs[4] < 0.03
     spurious_ok = dataset.LISTED_STATE_FIDELITIES[8] == 0.643
     ok = reconciled_ok and anomaly_ok and spurious_ok
-    assert report(5, "published rho fidelities within 0.02 at reconciled positions", ok), (
+    assert ok, (
+        "ACCEPTANCE 5 (published rho fidelities within 0.02 at reconciled positions): "
         f"deviations: { {i: round(d, 4) for i, d in devs.items()} }"
     )
 
@@ -213,7 +212,8 @@ def test_acceptance_06_process_reconstruction():
         and fit.residual <= ref_residual
         and elapsed < 30.0
     )
-    assert report(6, "chi refit: fidelity 0.596 +/- 0.037, CPTP, misfit <= published", ok), (
+    assert ok, (
+        "ACCEPTANCE 6 (chi refit: fidelity 0.596 +/- 0.037, CPTP, misfit <= published): "
         f"refit process fidelity {f_proc:.4f} (target {dataset.LISTED_PROCESS_FIDELITY} "
         f"+/- {dataset.LISTED_PROCESS_FIDELITY_ERR}), max entrywise dev off (0,0) "
         f"{max_off_dev:.4f} (bound 0.02), CPTP {physical_ok} (min eigenvalue {min_eig:.2e}), "
@@ -231,7 +231,8 @@ def test_acceptance_07_mub_suite():
     mean_ok = abs(mean_f - 0.697) <= 0.005
     formula_ok = (Fraction(596, 1000) * 3 + 1) / 4 == Fraction(697, 1000)
     ok = each_ok and mean_ok and formula_ok
-    assert report(7, "twelve MUB fidelities + mean 0.697 + formula", ok), (
+    assert ok, (
+        "ACCEPTANCE 7 (twelve MUB fidelities + mean 0.697 + formula): "
         f"mean {mean_f:.4f}, max dev "
         f"{max(abs(f - l) for f, l in zip(fids, dataset.LISTED_MUB_FIDELITIES)):.4f}"
     )
@@ -261,7 +262,8 @@ def test_acceptance_08_certification():
     )
     elapsed = time.perf_counter() - t0
     ok = a_ok and b_ok and c_ok and elapsed < 300.0
-    assert report(8, "certification: mu=0.5, nonlinear 1.475, batch 251 +/- 15", ok), (
+    assert ok, (
+        "ACCEPTANCE 8 (certification: mu=0.5, nonlinear 1.475, batch 251 +/- 15): "
         f"mu_mc {mu_mc:.6f}, nonlinear {nl:.4f}, n_genuine {summary['n_genuine']}, "
         f"mean mu {summary['mean_mu_of_genuine']:.4f}, elapsed {elapsed:.1f}s"
     )
@@ -281,7 +283,8 @@ def test_acceptance_09_oracle_equivalence():
             disagreements += 1
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and elapsed < 300.0
-    assert report(9, "conic solver vs grid oracle, 100 states", ok), (
+    assert ok, (
+        "ACCEPTANCE 9 (conic solver vs grid oracle, 100 states): "
         f"{disagreements} disagreements, elapsed {elapsed:.1f}s"
     )
 
@@ -312,7 +315,8 @@ def test_acceptance_10_mc_studies():
         and abs(study["mean_nonmub"] - 0.699) <= 0.005
     )
     ok = det_ok and plateau_ok and design_ok
-    assert report(10, "MC determinism, plateau, MUB design study", ok), (
+    assert ok, (
+        "ACCEPTANCE 10 (MC determinism, plateau, MUB design study): "
         f"plateau rel change {rel:.3f}, mub mean {study['mean_mub']:.4f}, "
         f"non-mub mean {study['mean_nonmub']:.4f}"
     )

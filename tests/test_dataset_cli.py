@@ -162,6 +162,42 @@ class TestCli:
         code = cli.main(["certify", "--batch", "--grid", "garbage"])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--matrix", "/nonexistent/matrix.json"],
+            ["mc_errors", "--trials", "1"],
+            ["teleport_sim", "--visibility", "1.5"],
+            ["certify", "--batch", "--grid", "0x3"],
+        ],
+        ids=["missing-matrix-file", "one-trial", "visibility-above-1", "empty-grid"],
+    )
+    def test_boundary_inputs_exit_parse(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_empty_genuine_set_is_null(self, capsys):
+        # the single grid state (phi1, phi2) = (0, 0) is qubit-simulable
+        # after the published channel
+        code, report = self.run(["certify", "--batch", "--grid", "1x1"], capsys)
+        assert code == 0
+        results = report["results"]
+        assert results["n_genuine"] == 0
+        assert results["mean_mu_of_genuine"] is None
+        assert results["std_mu_of_genuine"] is None
+        code, report = self.run(["full_reproduction", "--grid", "1x1"], capsys)
+        assert code == 0
+        checks = {c["name"]: c for c in report["results"]["checks"]}
+        assert checks["mean_mu_of_genuine"]["value"] is None
+        assert not checks["mean_mu_of_genuine"]["ok"]
+
+    def test_report_rejects_nan(self, capsys):
+        with pytest.raises(ValueError):
+            cli.emit_report("nan", {}, {"value": float("nan")})
+
     def test_report_written_to_out_dir(self, capsys, tmp_path):
         code, _ = self.run(["teleport_sim", "--out", str(tmp_path)], capsys)
         assert code == 0

@@ -39,6 +39,15 @@ class TestCountsTable:
             tomography.CountsTable((-1,) + (1,) * 8, 10.0)
         with pytest.raises(ValueError):
             tomography.CountsTable((1,) * 9, 0.0)
+        with pytest.raises(ValueError):
+            tomography.CountsTable((1.7,) * 9, 10.0)
+        with pytest.raises(ValueError):
+            tomography.CountsTable((-0.5,) + (1,) * 8, 10.0)
+
+    def test_integral_floats_accepted(self):
+        table = tomography.CountsTable((3.0,) + (1,) * 8, 10.0)
+        assert table.counts == (3,) + (1,) * 8
+        assert all(type(c) is int for c in table.counts)
 
     def test_simulate_deterministic_per_seed(self):
         rho = np.eye(3) / 3
@@ -260,6 +269,109 @@ class TestProcessReconstruction:
             pairs.append((phi, out))
         fit = tomography.reconstruct_process(pairs)
         tomography.check_process_matrix(fit.chi, tp_tol=1e-5)
+
+
+# Reference oracle for the chi parameter maps: the element-by-element loops
+# and the unit-vector probes that the index-array maps replace.
+SQRT2 = math.sqrt(2.0)
+
+
+def loop_chi_from_params(x):
+    chi = np.zeros((9, 9), dtype=complex)
+    idx = 0
+    for i in range(9):
+        chi[i, i] = x[idx]
+        idx += 1
+    for i in range(9):
+        for j in range(i + 1, 9):
+            val = (x[idx] + 1j * x[idx + 1]) / SQRT2
+            chi[i, j] = val
+            chi[j, i] = val.conjugate()
+            idx += 2
+    return chi
+
+
+def loop_params_from_chi(chi):
+    x = np.zeros(81)
+    idx = 0
+    for i in range(9):
+        x[idx] = chi[i, i].real
+        idx += 1
+    for i in range(9):
+        for j in range(i + 1, 9):
+            x[idx] = SQRT2 * chi[i, j].real
+            x[idx + 1] = SQRT2 * chi[i, j].imag
+            idx += 2
+    return x
+
+
+def probed_design_operator(inputs):
+    cols = []
+    for col in range(81):
+        chi = loop_chi_from_params(np.eye(81)[col])
+        outs = [tomography.apply_process(chi, algebra.projector(phi)) for phi in inputs]
+        cols.append(np.concatenate([np.r_[o.real.ravel(), o.imag.ravel()] for o in outs]))
+    return np.array(cols).T
+
+
+def probed_tp_rows():
+    rows = []
+    for col in range(81):
+        t = tomography.tp_matrix(loop_chi_from_params(np.eye(81)[col]))
+        rows.append(np.r_[t.real.ravel(), t.imag.ravel()])
+    return np.array(rows).T
+
+
+class TestParameterMaps:
+    def test_maps_equal_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            x = rng.normal(size=81)
+            chi = loop_chi_from_params(x)
+            assert np.array_equal(tomography._chi_from_params(x), chi)
+            assert np.array_equal(tomography._params_from_chi(chi), loop_params_from_chi(chi))
+
+    def test_batched_chi_from_params(self):
+        xs = np.random.default_rng(14).normal(size=(2, 3, 81))
+        chis = tomography._chi_from_params(xs)
+        assert chis.shape == (2, 3, 9, 9)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(chis[idx], loop_chi_from_params(xs[idx]))
+
+    def test_round_trip_and_isometry(self):
+        # diagonal parameters pass through untouched; off-diagonal ones are
+        # divided and multiplied by sqrt(2), which can cost one rounding
+        x = np.random.default_rng(15).normal(size=81)
+        chi = tomography._chi_from_params(x)
+        back = tomography._params_from_chi(chi)
+        assert np.array_equal(back[:9], x[:9])
+        assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
+        assert math.isclose(np.linalg.norm(x), np.linalg.norm(chi), rel_tol=1e-14)
+
+    def test_basis_is_read_only(self):
+        with pytest.raises(ValueError):
+            tomography._PARAM_BASIS[0, 0, 0] = 2.0
+        M, Mp, b = tomography._tp_constraint()
+        assert not (M.flags.writeable or Mp.flags.writeable or b.flags.writeable)
+
+    @pytest.mark.parametrize("family", ["mub", "canonical"])
+    def test_design_operator_matches_probes(self, family):
+        inputs = algebra.mub_family() if family == "mub" else tomography.canonical_kets()
+        A = tomography._design_operator(inputs)
+        assert A.shape == (18 * len(inputs), 81)
+        assert np.abs(A - probed_design_operator(inputs)).max() < 1e-12
+
+    def test_tp_rows_match_probes(self):
+        M, Mp, b = tomography._tp_constraint()
+        assert np.abs(M - probed_tp_rows()).max() < 1e-12
+        assert np.abs(Mp - np.linalg.pinv(probed_tp_rows())).max() < 1e-12
+        assert np.array_equal(b, np.r_[np.eye(3).ravel(), np.zeros(9)])
+
+    def test_tp_matrix_batched(self):
+        chis = np.array([tomography.chi_ideal(), tomography.noisy_model_chi()])
+        assert np.array_equal(
+            tomography.tp_matrix(chis), [tomography.tp_matrix(c) for c in chis]
+        )
 
 
 class TestBasisConversion:
