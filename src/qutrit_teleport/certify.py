@@ -10,7 +10,8 @@ state simulable; mu > 0 certifies genuine three-level coherence).
 The feasibility problem reduces exactly to one scalar concave
 maximization: each off-diagonal of the target belongs to a unique block,
 so the block diagonals are the only unknowns, constrained by three
-linear budgets and three hyperbolic (2x2 PSD) inequalities.
+linear budgets and three hyperbolic (2x2 PSD) inequalities. Its
+maximizer is closed-form, the slack's stationary point (_best_allocation).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import algebra
 from .errors import SolverError
@@ -100,82 +100,86 @@ def _reduction_data(target):
     return d, r
 
 
-def _slack(a1, d, r):
-    """Feasibility slack at block-0 allocation a1 (larger is better).
+def _allocation(d, r, w):
+    """Block diagonals (a1, b1, a2, a3) at the w-weighted mean a1 of lo, hi.
 
-    With sigma01 taking (a1, r1/a1) on the diagonal, sigma02 gets d0 - a1
-    at level 0 and sigma12 gets d1 - r1/a1 at level 1; the remaining level-2
-    budget d2 must cover r2/(d0-a1) + r3/(d1-r1/a1). The slack is concave
+    lo = r1/d1 and hi = d0; b1 = r1/a1, a2 = d0 - a1 and a3 = d1 - b1. a2
+    and a3 are formed from the weights, not as differences, so a coherence
+    many orders below the others cannot round them to zero.
+    """
+    lo = r[0] / d[1] if (r[0] > 0 and d[1] > 0) else 0.0
+    span = (d[0] - lo) / (w[0] + w[1])
+    a1 = lo + w[1] * span
+    if r[0] == 0:
+        return a1, 0.0, w[0] * span, d[1]
+    return a1, r[0] / a1, w[0] * span, d[1] * w[1] * span / a1
+
+
+def _slack(w, d, r):
+    """Feasibility slack at the allocation of weights w (larger is better).
+
+    The level-2 budget d2 must cover r2/a2 + r3/a3. The slack is concave
     in a1 (sums of negatives of convex reciprocals).
     """
-    eps = 1e-300
-    b1 = r[0] / max(a1, eps) if r[0] > 0 else 0.0
-    rem1 = d[1] - b1
-    a2 = d[0] - a1
+    _, _, a2, a3 = _allocation(d, r, w)
     need = 0.0
     if r[1] > 0:
         if a2 <= 0:
             return -np.inf
         need += r[1] / a2
     if r[2] > 0:
-        if rem1 <= 0:
+        if a3 <= 0:
             return -np.inf
-        need += r[2] / rem1
-    if rem1 < -1e-15:
+        need += r[2] / a3
+    if a3 < -1e-15:
         return -np.inf
     return d[2] - need
 
 
 def _best_allocation(target):
-    """Maximize the feasibility slack; returns (slack, a1*)."""
+    """Maximize the feasibility slack in closed form; returns (slack, w*).
+
+    In a1 the slack is d2 - r2/(d0 - a1) - r3/(d1 - r1/a1). Its stationary
+    point solves sqrt(r2)*(a1*d1 - r1) = sqrt(r1*r3)*(d0 - a1), so a1* is
+    the mean of lo and hi weighted by sqrt(r2)*d1 and sqrt(r1*r3). With
+    r2 = 0 the slack does not decrease in a1 (take hi); otherwise, with
+    r1*r3 = 0, it does not increase (take lo).
+    """
     d, r = _reduction_data(target)
     if d.min() < -1e-12:
-        return -np.inf, 0.0
-    lo = r[0] / d[1] if (r[0] > 0 and d[1] > 0) else 0.0
-    hi = d[0]
-    if r[0] > 0 and (d[1] <= 0 or lo > hi):
-        return -np.inf, 0.0
-    if hi - lo < 1e-15:
-        return _slack(lo, d, r), lo
-    # concave in a1 -> bounded scalar maximization is global
-    res = minimize_scalar(
-        lambda a: -_slack(a, d, r), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    candidates = [(res.x, -res.fun)]
-    for a in (lo, hi, (lo + hi) / 2):
-        candidates.append((a, _slack(a, d, r)))
-    a_best, s_best = max(candidates, key=lambda t: t[1])
-    return s_best, a_best
+        return -np.inf, None
+    if r[0] > 0 and (d[1] <= 0 or r[0] / d[1] > d[0]):
+        return -np.inf, None
+    if r[1] == 0:
+        w = (0.0, 1.0)
+    elif r[0] == 0 or r[2] == 0:
+        w = (1.0, 0.0)
+    else:
+        w = (math.sqrt(r[1]) * d[1], math.sqrt(r[0]) * math.sqrt(r[2]))
+    return _slack(w, d, r), w
 
 
-def _decomposition_from_allocation(target, a1):
+def _decomposition_from_allocation(target, w):
     d, r = _reduction_data(target)
-    eps = 1e-300
-    b1 = r[0] / max(a1, eps) if r[0] > 0 else 0.0
-    a2 = d[0] - a1
-    a3 = d[1] - b1
-    b2 = min(r[1] / max(a2, eps) if r[1] > 0 else 0.0, d[2])
-    b3 = max(d[2] - b2, 0.0)
-    s01 = np.zeros((3, 3), dtype=complex)
-    s02 = np.zeros((3, 3), dtype=complex)
-    s12 = np.zeros((3, 3), dtype=complex)
-    s01[0, 0], s01[1, 1] = a1, b1
-    s01[0, 1], s01[1, 0] = target[0, 1], np.conj(target[0, 1])
-    s02[0, 0], s02[2, 2] = a2, b2
-    s02[0, 2], s02[2, 0] = target[0, 2], np.conj(target[0, 2])
-    s12[1, 1], s12[2, 2] = a3, b3
-    s12[1, 2], s12[2, 1] = target[1, 2], np.conj(target[1, 2])
-    return SubspaceDecomposition(s01, s02, s12)
+    a1, b1, a2, a3 = _allocation(d, r, w)
+    b2 = min(r[1] / a2 if r[1] > 0 else 0.0, d[2])
+    diagonals = ((a1, b1), (a2, b2), (a3, max(d[2] - b2, 0.0)))
+    blocks = []
+    for (j, k), diag in zip(((0, 1), (0, 2), (1, 2)), diagonals):
+        sig = np.zeros((3, 3), dtype=complex)
+        sig[j, j], sig[k, k] = diag
+        sig[j, k], sig[k, j] = target[j, k], np.conj(target[j, k])
+        blocks.append(sig)
+    return SubspaceDecomposition(*blocks)
 
 
 def qubit_mixture_feasibility(rho, slack_tol=RESIDUAL_TOL):
     """A SubspaceDecomposition of rho if one exists, else None."""
     rho = algebra.check_density_matrix(rho, dim=3)
-    slack, a1 = _best_allocation(rho)
+    slack, w = _best_allocation(rho)
     if slack < -slack_tol:
         return None
-    dec = _decomposition_from_allocation(rho, a1)
+    dec = _decomposition_from_allocation(rho, w)
     dec.check(rho, atol=1e-7)
     return dec
 
@@ -194,26 +198,25 @@ def robustness_mu(rho, tol=BISECT_TOL):
     rho = algebra.check_density_matrix(rho, dim=3)
 
     def feasible(mu):
-        slack, a1 = _best_allocation(_noisy_state(rho, mu))
-        return slack >= -RESIDUAL_TOL, a1
+        slack, w = _best_allocation(_noisy_state(rho, mu))
+        return slack >= -RESIDUAL_TOL, w
 
     lo, hi = -1.0, 1.0
-    ok_hi, _ = feasible(hi)
+    ok_hi, best_w = feasible(hi)
     if not ok_hi:
         raise SolverError("bisection bracket failure: I/3 direction infeasible")
-    ok_lo, a_lo = feasible(lo)
+    ok_lo, w = feasible(lo)
     if ok_lo:
-        dec = _decomposition_from_allocation(_noisy_state(rho, lo), a_lo)
+        dec = _decomposition_from_allocation(_noisy_state(rho, lo), w)
         return lo, dec
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        ok, _ = feasible(mid)
+        ok, w = feasible(mid)
         if ok:
-            hi = mid
+            hi, best_w = mid, w
         else:
             lo = mid
-    _, a1 = feasible(hi)
-    dec = _decomposition_from_allocation(_noisy_state(rho, hi), a1)
+    dec = _decomposition_from_allocation(_noisy_state(rho, hi), best_w)
     return hi, dec
 
 

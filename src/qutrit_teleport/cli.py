@@ -60,6 +60,13 @@ def _trials(args):
     return args.trials
 
 
+def _exposure(args):
+    """The counting exposure (or rate); Poisson means need it finite and positive."""
+    if not (np.isfinite(args.exposure) and args.exposure > 0):
+        raise ParseError(f"--exposure must be finite and positive, got {args.exposure}")
+    return args.exposure
+
+
 def cmd_teleport_sim(args):
     try:
         vis = optics.VisibilityModel(default=args.visibility)
@@ -81,12 +88,13 @@ def cmd_teleport_sim(args):
 
 
 def cmd_tomography(args):
+    exposure = _exposure(args)
     rng = np.random.default_rng(args.seed)
     targets = dataset.reference_targets()
     rows = []
     for i in range(1, 11):
         rho, log = dataset.reference_rho(i)
-        counts = tomography.simulate_counts(rho, args.exposure, rng)
+        counts = tomography.simulate_counts(rho, exposure, rng)
         refit = tomography.reconstruct_state(counts, "mle")
         rows.append(
             {
@@ -169,13 +177,14 @@ def cmd_certify(args):
 
 def cmd_mc_errors(args):
     trials = _trials(args)
+    exposure = _exposure(args)
     chi, _ = dataset.reference_chi()
     rng = np.random.default_rng(args.seed)
     inputs = dataset.reference_targets()[:9]
     tables = []
     for phi in inputs:
         rho_out = tomography.apply_process(chi, algebra.projector(phi), repair=True)
-        tables.append(mc.counts_for_state(rho_out, args.exposure, rng))
+        tables.append(mc.counts_for_state(rho_out, exposure, rng))
 
     def statistic(resampled):
         pairs = [
@@ -197,7 +206,7 @@ def cmd_mc_errors(args):
 
 
 def cmd_mub_study(args):
-    results = mc.mub_design_study(rate=args.exposure, trials=_trials(args), seed=args.seed)
+    results = mc.mub_design_study(rate=_exposure(args), trials=_trials(args), seed=args.seed)
     config = {"seed": args.seed, "trials": args.trials, "rate": args.exposure}
     emit_report("mub_study", config, results, args.out)
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, certify, tomography
-from .errors import InsufficientDataError, SolverError
+from .errors import IllPosedError, InsufficientDataError, SolverError
 
 
 def trial_rngs(seed, n_trials):
@@ -41,7 +41,8 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
 
     ``counts_tables`` is a list of CountsTable; ``statistic`` maps a
     resampled list to one real number (a full analysis pipeline). Trials
-    whose pipeline fails are excluded and counted.
+    raising InsufficientDataError, IllPosedError or SolverError are
+    excluded and counted; any other exception propagates.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials")
@@ -57,7 +58,7 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
         ]
         try:
             samples.append(float(statistic(resampled)))
-        except (InsufficientDataError, SolverError, ValueError):
+        except (InsufficientDataError, IllPosedError, SolverError):
             n_excluded += 1
     return ResampleEnsemble(
         n_trials=n_trials, seed=seed, samples=np.array(samples), n_excluded=n_excluded

@@ -506,8 +506,8 @@ def _decode_photon3(mode):
     return None
 
 
-def run_teleportation(input_state, channel=None, visibility=None, stage=None):
-    """Full run: returns (rho3, success_probability[, intermediate state]).
+def run_teleportation(input_state, channel=None, visibility=None):
+    """Full run: returns (rho3, success_probability).
 
     The four measured photons are projected onto all 16 H/V patterns;
     odd-parity patterns receive the feed-forward sign flip on level |2>.
@@ -515,7 +515,6 @@ def run_teleportation(input_state, channel=None, visibility=None, stage=None):
     """
     channel = channel or ChannelSpec.rebalanced()
     vis = visibility or VisibilityModel()
-    intermediate = run_circuit(input_state, channel, vis, stage) if stage else None
     final = run_circuit(input_state, channel, vis, "HWP1_4")
 
     rho = np.zeros((3, 3), dtype=complex)
@@ -545,10 +544,7 @@ def run_teleportation(input_state, channel=None, visibility=None, stage=None):
             total_prob += float(np.vdot(vec, vec).real)
     if total_prob > 0:
         rho /= total_prob
-    result = (rho, total_prob)
-    if stage is not None:
-        result = result + (intermediate,)
-    return result
+    return rho, total_prob
 
 
 def visibility_damping_factor(model, coherence):

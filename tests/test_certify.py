@@ -4,12 +4,89 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from qutrit_teleport import algebra, certify, tomography
+from qutrit_teleport import algebra, certify, dataset, tomography
 
 
 def max_coherent_rho():
     return algebra.projector(certify.max_coherent_state())
+
+
+# Reference: the numerical maximizer the closed form replaced, with its
+# slack written in the level-0 allocation a1 and its own bisection.
+def _reference_slack(a1, d, r):
+    eps = 1e-300
+    b1 = r[0] / max(a1, eps) if r[0] > 0 else 0.0
+    rem1 = d[1] - b1
+    a2 = d[0] - a1
+    need = 0.0
+    if r[1] > 0:
+        if a2 <= 0:
+            return -np.inf
+        need += r[1] / a2
+    if r[2] > 0:
+        if rem1 <= 0:
+            return -np.inf
+        need += r[2] / rem1
+    if rem1 < -1e-15:
+        return -np.inf
+    return d[2] - need
+
+
+def _reference_best_slack(target):
+    d, r = certify._reduction_data(target)
+    if d.min() < -1e-12:
+        return -np.inf
+    lo = r[0] / d[1] if (r[0] > 0 and d[1] > 0) else 0.0
+    hi = d[0]
+    if r[0] > 0 and (d[1] <= 0 or lo > hi):
+        return -np.inf
+    if hi - lo < 1e-15:
+        return _reference_slack(lo, d, r)
+    res = minimize_scalar(
+        lambda a: -_reference_slack(a, d, r), bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return max([-res.fun] + [_reference_slack(a, d, r) for a in (lo, hi, (lo + hi) / 2)])
+
+
+def _reference_mu(rho, tol=certify.BISECT_TOL):
+    def feasible(mu):
+        return _reference_best_slack(certify._noisy_state(rho, mu)) >= -certify.RESIDUAL_TOL
+
+    lo, hi = -1.0, 1.0
+    if feasible(lo):
+        return lo
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def random_states(rng, n):
+    """Alternately pure and mixed random qutrit states."""
+    return [
+        algebra.random_density_matrix(3, rng)
+        if i % 2
+        else algebra.projector(algebra.random_pure_state(3, rng))
+        for i in range(n)
+    ]
+
+
+def with_zero_coherence(rho, pair):
+    """rho with coherence ``pair`` removed by a two-unitary mixture (stays PSD).
+
+    (rho + U rho U^dag)/2 with U = diag(u) scales entry (j, k) by
+    (1 + u_j conj(u_k))/2: zero for the chosen pair, modulus 1/sqrt(2) for
+    the other two.
+    """
+    u = {(0, 1): (1, -1, 1j), (0, 2): (1, 1j, -1), (1, 2): (1, 1j, -1j)}[pair]
+    u = np.diag(u)
+    return (rho + u @ rho @ u.conj().T) / 2
 
 
 class TestLinearCriteria:
@@ -147,6 +224,76 @@ class TestOracle:
                 assert certify.oracle_feasible(rho, mu + eps)
             if mu - eps >= -1.0:
                 assert not certify.oracle_feasible(rho, mu - eps, slack_tol=0.0)
+
+
+class TestClosedFormAllocation:
+    def test_mu_matches_numerical_reference_on_published_grid(self):
+        chi, _ = dataset.reference_chi()
+        for _, psi in certify.phase_grid_states(20, 20):
+            rho = tomography.apply_process(chi, algebra.projector(psi), repair=True)
+            assert certify.robustness_mu(rho)[0] == _reference_mu(rho)
+
+    def test_mu_matches_numerical_reference_on_random_states(self):
+        for rho in random_states(np.random.default_rng(31), 120):
+            assert certify.robustness_mu(rho)[0] == _reference_mu(rho)
+
+    def test_slack_not_below_dense_grid(self):
+        # the closed-form slack is the maximum over the whole a1 interval,
+        # scanned with the module's slack (weights (1 - t, t)) and with the
+        # reference slack in a1 = lo + t*(hi - lo)
+        rng = np.random.default_rng(32)
+        t_grid = np.linspace(0, 1, 2001)[1:-1]
+        n_finite = 0
+        for rho in random_states(rng, 200):
+            target = certify._noisy_state(rho, rng.uniform(-0.5, 1.0))
+            slack, _ = certify._best_allocation(target)
+            d, r = certify._reduction_data(target)
+            if d.min() < -1e-12 or (r[0] > 0 and r[0] / d[1] > d[0]):
+                assert slack == -np.inf
+                continue
+            lo, hi = r[0] / d[1], d[0]
+            scanned = max(
+                max(certify._slack((1 - t, t), d, r), _reference_slack(a1, d, r))
+                for t, a1 in zip(t_grid, lo + t_grid * (hi - lo))
+            )
+            assert slack >= scanned - 1e-12
+            n_finite += np.isfinite(slack)
+        assert n_finite > 100
+
+    @pytest.mark.parametrize(
+        "pair", [(0, 1), (0, 2), (1, 2), "diagonal"], ids=["r1", "r2", "r3", "diagonal"]
+    )
+    def test_zero_coherence_edges(self, pair):
+        rng = np.random.default_rng(33)
+        for rho in random_states(rng, 20):
+            if pair == "diagonal":
+                rho = np.diag(np.diag(rho))
+            else:
+                rho = with_zero_coherence(rho, pair)
+                j, k = pair
+                assert rho[j, k] == 0
+            mu, dec = certify.robustness_mu(rho)
+            dec.check(certify._noisy_state(rho, mu), atol=1e-7)
+            # grid-resolution margin 0.02, as in TestOracle
+            if mu + 0.02 <= 1.0:
+                assert certify.oracle_feasible(rho, mu + 0.02)
+            if mu - 0.02 >= -1.0:
+                assert not certify.oracle_feasible(rho, mu - 0.02, slack_tol=0.0)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)], ids=["r1", "r2", "r3"])
+    def test_tiny_coherence_keeps_verdict(self, pair):
+        # a coherence 1e-20 instead of 0 must not round a block entry to
+        # zero and so move mu (it read 0.9995 for a qubit mixture)
+        rng = np.random.default_rng(34)
+        j, k = pair
+        for rho in random_states(rng, 10):
+            rho = 0.9 * with_zero_coherence(rho, pair) + 0.1 * np.eye(3) / 3
+            mu_zero, _ = certify.robustness_mu(rho)
+            rho[j, k] += 1e-20
+            rho[k, j] += 1e-20
+            mu, dec = certify.robustness_mu(rho)
+            assert mu == mu_zero
+            dec.check(certify._noisy_state(rho, mu), atol=1e-7)
 
 
 class TestCertifyState:

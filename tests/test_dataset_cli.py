@@ -169,8 +169,23 @@ class TestCli:
             ["mc_errors", "--trials", "1"],
             ["teleport_sim", "--visibility", "1.5"],
             ["certify", "--batch", "--grid", "0x3"],
+            ["mc_errors", "--trials", "2", "--exposure", "0"],
+            ["tomography", "--exposure", "0"],
+            ["mub_study", "--trials", "2", "--exposure", "-5"],
+            ["tomography", "--exposure", "nan"],
+            ["mc_errors", "--trials", "2", "--exposure", "inf"],
         ],
-        ids=["missing-matrix-file", "one-trial", "visibility-above-1", "empty-grid"],
+        ids=[
+            "missing-matrix-file",
+            "one-trial",
+            "visibility-above-1",
+            "empty-grid",
+            "mc-errors-zero-exposure",
+            "tomography-zero-exposure",
+            "mub-study-negative-exposure",
+            "nan-exposure",
+            "infinite-exposure",
+        ],
     )
     def test_boundary_inputs_exit_parse(self, argv, capsys):
         code = cli.main(argv)

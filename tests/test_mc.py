@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qutrit_teleport import algebra, mc, tomography
+from qutrit_teleport.errors import IllPosedError, InsufficientDataError, SolverError
 
 
 def fidelity_statistic(target):
@@ -65,16 +66,26 @@ class TestPoissonResample:
         _, table = self.make_table()
 
         calls = {"n": 0}
+        declared = (InsufficientDataError, IllPosedError, SolverError)
 
         def flaky(tables):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise ValueError("synthetic failure")
+                raise declared[calls["n"] // 3 - 1]("synthetic failure")
             return 1.0
 
         ens = mc.poisson_resample([table], flaky, 9, 0)
         assert ens.n_excluded == 3
         assert len(ens.samples) == 6
+
+    def test_undeclared_errors_propagate(self):
+        _, table = self.make_table()
+
+        def broken(tables):
+            raise ValueError("programming error")
+
+        with pytest.raises(ValueError, match="programming error"):
+            mc.poisson_resample([table], broken, 4, 0)
 
 
 class TestCountsForState:

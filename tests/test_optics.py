@@ -217,11 +217,6 @@ class TestFullRun:
         assert abs(prob - 1 / 18) < 1e-9
         assert abs(algebra.fidelity(rho, phi) - 1.0) < 1e-9
 
-    def test_intermediate_state_returned(self):
-        rho, prob, inter = optics.run_teleportation(PHI, stage="BD2_BD4")
-        assert inter is not None
-        assert abs(prob - 1 / 18) < 1e-9
-
 
 class TestVisibility:
     def test_model_validation(self):
