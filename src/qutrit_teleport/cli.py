@@ -286,45 +286,56 @@ def cmd_full_reproduction(args):
     return 0
 
 
+# Each subcommand takes only the options it reads, plus --out.
+_OPTIONS = {
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "trials": ("--trials", {"type": int, "default": 100}),
+    "visibility": ("--visibility", {"type": float, "default": 1.0}),
+    "exposure": ("--exposure", {"type": float, "default": 150.0}),
+    "grid": ("--grid", {"default": "20x20"}),
+    "closed_interval": ("--closed-interval", {"action": "store_true"}),
+    "matrix": ("--matrix", {"default": None, "help": "density-matrix JSON file"}),
+    "batch": ("--batch", {"action": "store_true"}),
+    "check": ("--check", {"action": "store_true"}),
+}
+
+_COMMANDS = (
+    ("teleport_sim", cmd_teleport_sim, ("visibility",)),
+    ("tomography", cmd_tomography, ("seed", "exposure")),
+    ("process", cmd_process, ()),
+    ("certify", cmd_certify, ("matrix", "batch", "grid", "closed_interval")),
+    ("mc_errors", cmd_mc_errors, ("seed", "trials", "exposure")),
+    ("mub_study", cmd_mub_study, ("seed", "trials", "exposure")),
+    ("full_reproduction", cmd_full_reproduction, ("grid", "closed_interval", "check")),
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line ParseError (exit 2)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="qutrit-teleport",
         description="Qutrit teleportation simulation and analysis pipelines",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--visibility", type=float, default=1.0)
-        sp.add_argument("--exposure", type=float, default=150.0)
-        sp.add_argument("--grid", default="20x20")
-        sp.add_argument("--closed-interval", action="store_true")
-        sp.add_argument("--out", default=None, help="directory for the JSON report")
-
-    for name, fn in [
-        ("teleport_sim", cmd_teleport_sim),
-        ("tomography", cmd_tomography),
-        ("process", cmd_process),
-        ("certify", cmd_certify),
-        ("mc_errors", cmd_mc_errors),
-        ("mub_study", cmd_mub_study),
-        ("full_reproduction", cmd_full_reproduction),
-    ]:
+    for name, fn, options in _COMMANDS:
         sp = sub.add_parser(name)
-        common(sp)
+        for option in options:
+            flag, kwargs = _OPTIONS[option]
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--out", default=None, help="directory for the JSON report")
         sp.set_defaults(fn=fn)
-        if name == "certify":
-            sp.add_argument("--matrix", default=None, help="density-matrix JSON file")
-            sp.add_argument("--batch", action="store_true")
-        if name == "full_reproduction":
-            sp.add_argument("--check", action="store_true")
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -14,9 +14,11 @@ probability 1/18 and reproduces the input state exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ V = "V"
 DUMP_RAIL = -1  # beams displaced out of the collection path
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
+class Mode(NamedTuple):
     arm: str
     rail: int
     pol: str
@@ -53,9 +54,8 @@ class FockState:
         if terms:
             for pattern, amp in terms.items():
                 if abs(amp) > AMP_CUTOFF:
-                    self.terms[tuple(sorted(pattern))] = (
-                        self.terms.get(tuple(sorted(pattern)), 0.0) + amp
-                    )
+                    key = tuple(sorted(pattern))
+                    self.terms[key] = self.terms.get(key, 0.0) + amp
 
     @classmethod
     def vacuum(cls):
@@ -264,10 +264,8 @@ class PostSelectionPattern:
         return FockState({p: a for p, a in state.terms.items() if self.matches(p)})
 
 
-def arm_predicate(arm, exclude_dump=True):
-    if exclude_dump:
-        return lambda m, a=arm: m.arm == a and m.rail >= 0
-    return lambda m, a=arm: m.arm == a
+def arm_predicate(arm):
+    return lambda m, a=arm: m.arm == a and m.rail >= 0
 
 
 def post_select(state, pattern):
@@ -412,7 +410,7 @@ def hybrid_photon(arm, amplitudes, tag_vector=None, source=None):
     return single_photon(comps)
 
 
-def initial_state(input_state, channel, visibility=None, include_trigger=True):
+def initial_state(input_state, channel, visibility=None):
     """Photons 1, 2, 3 (and trigger) before the measurement circuit."""
     vis = visibility or VisibilityModel()
     tags = vis.tag_vectors()
@@ -430,10 +428,7 @@ def initial_state(input_state, channel, visibility=None, include_trigger=True):
             hybrid_photon("p3", basis)
         )
         chan = _add(chan, pair.scaled(s))
-    state = photon1.tensor(chan)
-    if include_trigger:
-        state = state.tensor(single_photon([(Mode("t", 0, H), 1.0)]))
-    return state
+    return photon1.tensor(chan).tensor(single_photon([(Mode("t", 0, H), 1.0)]))
 
 
 def aux_pair_state(visibility=None):
@@ -496,7 +491,8 @@ def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
     raise AssertionError("unreachable")
 
 
-PROJ_PATTERNS = tuple(itertools.product((H, V), repeat=4))
+# Distinct (channel, visibility model) pairs whose Kraus sets stay cached.
+KRAUS_CACHE_SIZE = 16
 
 
 def _decode_photon3(mode):
@@ -506,42 +502,59 @@ def _decode_photon3(mode):
     return None
 
 
-def run_teleportation(input_state, channel=None, visibility=None):
-    """Full run: returns (rho3, success_probability).
-
-    The four measured photons are projected onto all 16 H/V patterns;
-    odd-parity patterns receive the feed-forward sign flip on level |2>.
-    The teleported density matrix is the tag-traced mixture over patterns.
-    """
-    channel = channel or ChannelSpec.rebalanced()
-    vis = visibility or VisibilityModel()
-    final = run_circuit(input_state, channel, vis, "HWP1_4")
-
-    rho = np.zeros((3, 3), dtype=complex)
-    total_prob = 0.0
+@functools.lru_cache(maxsize=KRAUS_CACHE_SIZE)
+def _kraus_set(schmidt_coefficients, default, pairwise):
+    """The Kraus set of ``run_teleportation``, stacked read-only as (n, 3, 3)."""
     measured_arms = ("a", "b", "c", "d")
-    for pols in PROJ_PATTERNS:
-        parity = sum(1 for p in pols if p == V) % 2
-        # amplitude vectors over (level, photon-3 tag is fixed) keyed by
-        # the tag content of the measured photons
-        vectors = {}
-        for pattern, amp in final.terms.items():
+    channel = ChannelSpec(schmidt_coefficients)
+    vis = VisibilityModel(default, dict(pairwise))
+    kraus = {}
+    for j, basis in enumerate(np.eye(3)):
+        for pattern, amp in run_circuit(basis, channel, vis, "HWP1_4").terms.items():
             meas = {m.arm: m for m in pattern if m.arm in measured_arms}
             p3 = [m for m in pattern if m.arm == "p3"]
             if len(meas) != 4 or len(p3) != 1:
                 continue
-            if any(meas[a].pol != pol for a, pol in zip(measured_arms, pols)):
-                continue
             level = _decode_photon3(p3[0])
             if level is None:
                 continue
-            tag_key = tuple(meas[a].tag for a in measured_arms)
-            vec = vectors.setdefault(tag_key, np.zeros(3, dtype=complex))
-            sign = -1.0 if (parity == 1 and level == 2) else 1.0
-            vec[level] += sign * amp
-        for vec in vectors.values():
-            rho += np.outer(vec, vec.conj())
-            total_prob += float(np.vdot(vec, vec).real)
+            pols = tuple(meas[a].pol for a in measured_arms)
+            tags = tuple(meas[a].tag for a in measured_arms)
+            k = kraus.setdefault((pols, tags), np.zeros((3, 3), dtype=complex))
+            flip = level == 2 and pols.count(V) % 2 == 1
+            k[level, j] += -amp if flip else amp
+    # Kept per outcome, not reduced to the nine of a minimal set: the
+    # reduction leaves 1e-17 residues where rho is exactly zero, and a
+    # Poisson draw with a nonzero mean consumes random numbers that a zero
+    # mean does not, so every later count drawn from rho would change.
+    stack = np.array(list(kraus.values()), dtype=complex).reshape(-1, 3, 3)
+    stack.flags.writeable = False
+    return stack
+
+
+def run_teleportation(input_state, channel=None, visibility=None):
+    """Full run: returns (rho3, success_probability).
+
+    The post-selected output is linear in photon 1's amplitudes, so the
+    circuit is compiled into Kraus operators K, one per outcome: the H/V
+    pattern of the four measured photons and their tags, with the
+    feed-forward sign flip on level |2> for odd parity. The compile runs
+    the Fock circuit once per basis input |j>, and K's column j is what
+    that run leaves on photon 3. Compiled sets are cached by value (the
+    Schmidt coefficients, ``default`` and the ``pairwise`` items), at most
+    KRAUS_CACHE_SIZE of them, least recently used dropped first. Each call
+    returns rho = sum (K phi)(K phi)^+ / p, the tag-traced mixture over
+    outcomes, and p = sum |K phi|^2.
+    """
+    phi = algebra.check_pure_state(input_state, dim=3)
+    channel = channel or ChannelSpec.rebalanced()
+    vis = visibility or VisibilityModel()
+    kraus = _kraus_set(
+        channel.schmidt_coefficients, vis.default, frozenset(vis.pairwise.items())
+    )
+    out = kraus @ phi
+    total_prob = float(np.vdot(out, out).real)
+    rho = out.T @ out.conj()
     if total_prob > 0:
         rho /= total_prob
     return rho, total_prob

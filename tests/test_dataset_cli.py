@@ -174,6 +174,8 @@ class TestCli:
             ["mub_study", "--trials", "2", "--exposure", "-5"],
             ["tomography", "--exposure", "nan"],
             ["mc_errors", "--trials", "2", "--exposure", "inf"],
+            ["certify", "--trials", "1", "--exposure", "-3", "--visibility", "7"],
+            ["teleport_sim", "--exposure", "0"],
         ],
         ids=[
             "missing-matrix-file",
@@ -185,6 +187,8 @@ class TestCli:
             "mub-study-negative-exposure",
             "nan-exposure",
             "infinite-exposure",
+            "certify-foreign-options",
+            "teleport-sim-foreign-option",
         ],
     )
     def test_boundary_inputs_exit_parse(self, argv, capsys):

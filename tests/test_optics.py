@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qutrit_teleport import algebra, optics, protocol
+from qutrit_teleport import algebra, optics, protocol, tomography
+from qutrit_teleport.errors import DimensionError
 from qutrit_teleport.optics import BD, DUMP_RAIL, HWP, PBS, FockState, Mode, H, V
 
 S2 = math.sqrt(2)
@@ -20,6 +24,55 @@ def m(arm, rail, pol):
 
 def stage_state(name):
     return optics.run_circuit(PHI, protocol.ChannelSpec.rebalanced(), through_stage=name)
+
+
+def fock_oracle(phi, channel=None, visibility=None):
+    """The direct path: one full circuit run, then a pass per H/V pattern.
+
+    The four measured photons are projected onto all 16 H/V patterns;
+    odd-parity patterns receive the feed-forward sign flip on level |2>.
+    The teleported density matrix is the tag-traced mixture over patterns.
+    """
+    channel = channel or protocol.ChannelSpec.rebalanced()
+    final = optics.run_circuit(phi, channel, visibility, "HWP1_4")
+    rho = np.zeros((3, 3), dtype=complex)
+    total_prob = 0.0
+    measured_arms = ("a", "b", "c", "d")
+    for pols in itertools.product((H, V), repeat=4):
+        parity = sum(1 for p in pols if p == V) % 2
+        vectors = {}
+        for pattern, amp in final.terms.items():
+            meas = {m.arm: m for m in pattern if m.arm in measured_arms}
+            p3 = [m for m in pattern if m.arm == "p3"]
+            if len(meas) != 4 or len(p3) != 1:
+                continue
+            if any(meas[a].pol != pol for a, pol in zip(measured_arms, pols)):
+                continue
+            level = optics._decode_photon3(p3[0])
+            if level is None:
+                continue
+            tag_key = tuple(meas[a].tag for a in measured_arms)
+            vec = vectors.setdefault(tag_key, np.zeros(3, dtype=complex))
+            sign = -1.0 if (parity == 1 and level == 2) else 1.0
+            vec[level] += sign * amp
+        for vec in vectors.values():
+            rho += np.outer(vec, vec.conj())
+            total_prob += float(np.vdot(vec, vec).real)
+    if total_prob > 0:
+        rho /= total_prob
+    return rho, total_prob
+
+
+# V = 1, three uniform models and the benchmark's pairwise model.
+KRAUS_MODELS = {
+    "V=1": optics.VisibilityModel(),
+    "V=0.9": optics.VisibilityModel(default=0.9),
+    "V=0.75": optics.VisibilityModel(default=0.75),
+    "V=0": optics.VisibilityModel(default=0.0),
+    "pairwise": optics.VisibilityModel(default=0.95, pairwise={frozenset(("p1", "p2")): 0.8}),
+}
+
+SOURCE_PAIRS = [frozenset(p) for p in itertools.combinations(("p1", "p2", "aux_c", "aux_d"), 2)]
 
 
 class TestFockState:
@@ -278,6 +331,109 @@ class TestVisibility:
         assert abs(rho[0, 1]) < 1e-9
 
 
+class TestKrausCompile:
+    @pytest.mark.parametrize("label", KRAUS_MODELS)
+    def test_matches_fock_oracle(self, label):
+        vis = KRAUS_MODELS[label]
+        for phi in protocol.benchmark_input_states():
+            rho, prob = optics.run_teleportation(phi, visibility=vis)
+            rho_ref, prob_ref = fock_oracle(phi, visibility=vis)
+            assert np.abs(rho - rho_ref).max() < 1e-12
+            assert abs(prob - prob_ref) < 1e-12
+            # zeros stay exact: a zero Poisson mean draws no random number
+            assert np.array_equal(rho == 0, rho_ref == 0)
+            born = tomography.born_probabilities(rho)
+            assert np.array_equal(born <= 0, tomography.born_probabilities(rho_ref) <= 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        default=st.floats(0.0, 1.0),
+        pair=st.sampled_from(SOURCE_PAIRS),
+        value=st.floats(0.0, 1.0),
+    )
+    def test_property_matches_fock_oracle(self, amps, default, pair, value):
+        phi = np.array(amps[:3]) + 1j * np.array(amps[3:])
+        assume(np.linalg.norm(phi) > 0.1)
+        phi = phi / np.linalg.norm(phi)
+        vis = optics.VisibilityModel(default=default, pairwise={pair: value})
+        rho, prob = optics.run_teleportation(phi, visibility=vis)
+        rho_ref, prob_ref = fock_oracle(phi, visibility=vis)
+        assert np.abs(rho - rho_ref).max() < 1e-12
+        assert abs(prob - prob_ref) < 1e-12
+
+    @pytest.fixture
+    def circuit_runs(self, monkeypatch):
+        """Counts run_circuit calls, starting from an empty Kraus cache."""
+        optics._kraus_set.cache_clear()
+        calls = []
+        run_circuit = optics.run_circuit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(optics, "run_circuit", counted)
+        yield calls
+        optics._kraus_set.cache_clear()
+
+    def test_compiled_once_per_model(self, circuit_runs):
+        def model(v):
+            return optics.VisibilityModel(default=0.95, pairwise={frozenset(("p1", "p2")): v})
+
+        vis = model(0.8)
+        for phi in protocol.benchmark_input_states():
+            optics.run_teleportation(phi, visibility=vis)
+        assert len(circuit_runs) == 3
+        optics.run_teleportation(PHI, visibility=model(0.8))  # equal values, new object
+        assert len(circuit_runs) == 3
+        optics.run_teleportation(PHI, visibility=model(0.7))
+        assert len(circuit_runs) == 6
+        optics.run_teleportation(PHI, protocol.ChannelSpec.maximal(), model(0.7))
+        assert len(circuit_runs) == 9
+
+    def test_cache_bounded(self, circuit_runs):
+        size = optics.KRAUS_CACHE_SIZE
+        channels = []
+        for k in range(size + 1):
+            s = np.array([1.0, 1.0, 1.0 + k / 10])
+            channels.append(protocol.ChannelSpec(tuple(s / np.linalg.norm(s))))
+        for channel in channels:
+            optics.run_teleportation(PHI, channel)
+        assert optics._kraus_set.cache_info().currsize == size
+        assert len(circuit_runs) == 3 * (size + 1)
+        optics.run_teleportation(PHI, channels[-1])
+        assert len(circuit_runs) == 3 * (size + 1)
+        optics.run_teleportation(PHI, channels[0])  # evicted first
+        assert len(circuit_runs) == 3 * (size + 2)
+
+    def test_input_checked_on_cache_hit(self, circuit_runs):
+        optics.run_teleportation(PHI)
+        with pytest.raises(ValueError):
+            optics.run_teleportation(np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(DimensionError):
+            optics.run_teleportation(np.array([1.0, 0.0]))
+        assert len(circuit_runs) == 3
+
+    def test_kraus_set_read_only(self):
+        kraus = optics._kraus_set(protocol.ChannelSpec.rebalanced().schmidt_coefficients, 1.0, frozenset())
+        with pytest.raises(ValueError):
+            kraus[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("v", [1.0, 0.9, 0.75, 0.5, 0.0])
+    def test_damping_formula_exact(self, v):
+        vis = optics.VisibilityModel(default=v)
+        phi = protocol.benchmark_input_states()[9]
+        assert np.allclose(phi, np.ones(3) / math.sqrt(3), atol=1e-15)
+        rho, _ = optics.run_teleportation(phi, visibility=vis)
+        ideal = algebra.projector(phi)
+        for j, k in itertools.permutations(range(3), 2):
+            factor = optics.visibility_damping_factor(vis, (j, k))
+            assert abs(rho[j, k] - factor * ideal[j, k]) < 1e-12
+        for i in range(3):
+            assert abs(rho[i, i] - ideal[i, i]) < 1e-12
+
+
 class TestWhiteNoise:
     def test_mixing(self):
         rho = algebra.projector(algebra.ket(0))
@@ -296,7 +452,5 @@ class TestCircuitBuilder:
         assert names == ["PBS1", "BD1_BD3", "HWPS", "BD2_BD4", "AUX_PBS", "HWP1_4"]
 
     def test_only_dim_three(self):
-        from qutrit_teleport.errors import DimensionError
-
         with pytest.raises(DimensionError):
             optics.build_hdbsm_circuit(dim=4)
