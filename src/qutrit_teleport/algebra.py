@@ -13,7 +13,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -224,5 +223,4 @@ __all__ = [
     "aux_pairs_needed",
     "random_pure_state",
     "random_density_matrix",
-    "Fraction",
 ]

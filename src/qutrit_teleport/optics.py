@@ -6,10 +6,11 @@ carry wavepacket vectors whose overlaps reproduce the pairwise HOM
 visibilities, and tracing the tags out at the end damps exactly the
 interference-mediated coherences of the teleported state.
 
-The high-dimensional Bell-measurement circuit is built stage by stage
-(PBS1, BD1_BD3, HWPS, BD2_BD4, AUX_PBS, HWP1_4, PROJ); with perfect
-visibility and the rebalanced (2,2,1)/3 channel, the run succeeds with
-probability 1/18 and reproduces the input state exactly.
+The high-dimensional Bell-measurement circuit is one table of stages
+(PBS1, BD1_BD3, HWPS, BD2_BD4, AUX_PBS, HWP1_4), each a tuple of elements
+followed by an optional post-selection; with perfect visibility and the
+rebalanced (2,2,1)/3 channel, the run succeeds with probability 1/18 and
+reproduces the input state exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .errors import DimensionError
 from .protocol import ChannelSpec
 
 AMP_CUTOFF = 1e-14
@@ -128,8 +128,6 @@ class OpticalElement:
     None means the element does not touch the mode.
     """
 
-    kind = "element"
-
     def action(self, mode):
         raise NotImplementedError
 
@@ -152,44 +150,28 @@ class OpticalElement:
                 out[modes] = out.get(modes, 0.0) + coeff * _sym_factor(modes)
         return FockState(out)
 
-    def transfer_matrix(self, modes):
-        """Single-photon transfer matrix restricted to (domain | image) modes."""
-        domain = list(modes)
-        image = []
-        for m in domain:
-            mapped = self.action(m)
-            targets = [m] if mapped is None else [t for t, _ in mapped]
-            for t in targets:
-                if t not in image:
-                    image.append(t)
-        u = np.zeros((len(image), len(domain)), dtype=complex)
-        for j, m in enumerate(domain):
-            mapped = self.action(m)
-            mapped = [(m, 1.0)] if mapped is None else mapped
-            for t, c in mapped:
-                u[image.index(t), j] = c
-        return u
-
 
 @dataclass(frozen=True)
 class PBS(OpticalElement):
     """Polarizing beam splitter: transmits H, reflects V between two arms.
 
-    Output ports are identified with the transmitted directions, so H
-    stays in its arm while V hops to the partner arm. Reflection phases
-    are absorbed into builder-level compensating phases.
+    ``ports[i]`` is the output port of the light transmitted from
+    ``arm_pair[i]`` (and reflected from the other arm). By default the
+    ports keep the input arms' names, so H stays in its arm while V hops
+    to the partner arm. Reflection phases are absorbed into circuit-level
+    compensating phases.
     """
 
     arm_pair: tuple
-    kind: str = field(default="PBS", init=False)
+    ports: tuple = None
 
     def action(self, mode):
         if mode.arm not in self.arm_pair:
             return None
-        if mode.pol == H:
-            return [(mode, 1.0)]
-        other = self.arm_pair[1] if mode.arm == self.arm_pair[0] else self.arm_pair[0]
-        return [(Mode(other, mode.rail, mode.pol, mode.tag), 1.0)]
+        ports = self.ports or self.arm_pair
+        i = self.arm_pair.index(mode.arm)
+        port = ports[i] if mode.pol == H else ports[1 - i]
+        return [(Mode(port, mode.rail, mode.pol, mode.tag), 1.0)]
 
 
 @dataclass(frozen=True)
@@ -203,7 +185,6 @@ class BD(OpticalElement):
 
     arms: tuple
     rail_map: dict
-    kind: str = field(default="BD", init=False)
 
     def __post_init__(self):
         targets = list(self.rail_map.values())
@@ -228,7 +209,6 @@ class HWP(OpticalElement):
     angle_deg: float
     arms: tuple
     rails: tuple = None
-    kind: str = field(default="HWP", init=False)
 
     def action(self, mode):
         if mode.arm not in self.arms:
@@ -244,37 +224,21 @@ class HWP(OpticalElement):
         return [(h, s), (v, -c)]
 
 
-@dataclass(frozen=True)
-class PostSelectionPattern:
-    """Required exact photon counts per arm predicate.
-
-    ``required`` is a list of (predicate(Mode) -> bool, exact count).
-    """
-
-    required: tuple
-
-    def matches(self, pattern):
-        for predicate, count in self.required:
-            if sum(1 for m in pattern if predicate(m)) != count:
-                return False
-        return True
-
-    def keep(self, state):
-        """The matching terms of ``state``, not renormalized."""
-        return FockState({p: a for p, a in state.terms.items() if self.matches(p)})
+def keep(state, accept):
+    """The terms of ``state`` whose pattern ``accept`` admits, not renormalized."""
+    return FockState({p: a for p, a in state.terms.items() if accept(p)})
 
 
-def arm_predicate(arm):
-    return lambda m, a=arm: m.arm == a and m.rail >= 0
+def one_photon_per_arm(arms):
+    """Predicate: exactly one collected (non-dump) photon in each of ``arms``."""
+    return lambda pattern: all(
+        sum(1 for m in pattern if m.arm == arm and m.rail >= 0) == 1 for arm in arms
+    )
 
 
-def post_select(state, pattern):
-    """Keep matching patterns; return (renormalized state, kept probability)."""
-    kept = pattern.keep(state)
-    prob = kept.norm_squared()
-    if prob == 0:
-        return FockState(), 0.0
-    return kept.scaled(1.0 / math.sqrt(prob)), prob
+def no_dump_photons(pattern):
+    """Predicate: no photon on a dump rail."""
+    return all(m.rail >= 0 for m in pattern)
 
 
 @dataclass(frozen=True)
@@ -324,78 +288,10 @@ class VisibilityModel:
         return {src: tri[i] for i, src in enumerate(sources)}
 
 
-# --- circuit construction -------------------------------------------------
-
-STAGE_NAMES = ("INPUT", "PBS1", "BD1_BD3", "HWPS", "BD2_BD4", "AUX_PBS", "HWP1_4")
-
-
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    elements: tuple = ()
-    post_selection: PostSelectionPattern = None
-    inject_aux: bool = False
-
-
-def one_photon_per_arm(arms):
-    return PostSelectionPattern(tuple((arm_predicate(a), 1) for a in arms))
-
-
-def build_hdbsm_circuit(dim=3):
-    """Ordered stages of the three-dimensional Bell-measurement circuit.
-
-    The signal photons enter in the path-polarization hybrid encoding
-    |0> -> H rail0, |1> -> V rail1, |2> -> H rail2 and leave, after the
-    two displacement stages, as {H, V} on rail 0 of arms a and b.
-    """
-    if dim != 3:
-        raise DimensionError("the optical circuit is only constructed for dim 3")
-    ab = ("a", "b")
-
-    # Re-encode {H0, V1, H2} -> {V0, H0, H1}; under the half-wave sign
-    # convention used here the composite is a plain relabeling (all +1).
-    bd1_bd3 = (
-        BD(ab, {1: 0}),
-        HWP(45.0, ab, rails=(0,)),
-        HWP(45.0, ab, rails=(2,)),
-        BD(ab, {2: 1}),
-        HWP(45.0, ab, rails=(1,)),
-    )
-
-    # Merge rail 1 into rail 0 as V; pre-existing V0 light is displaced
-    # onto the dump rail and removed from the collection path.
-    bd2_bd4 = (
-        HWP(45.0, ab, rails=(1,)),
-        BD(ab, {0: DUMP_RAIL, 1: 0}),
-    )
-
-    return (
-        Stage("PBS1", elements=(PBS(("p1", "p2")),),
-              post_selection=one_photon_per_arm(ab)),
-        Stage("BD1_BD3", elements=bd1_bd3),
-        Stage("HWPS", elements=(HWP(22.5, ab, rails=(0,)),)),
-        Stage("BD2_BD4", elements=bd2_bd4,
-              post_selection=_no_dump_photons()),
-        Stage("AUX_PBS", inject_aux=True,
-              elements=(PBS(("a", "c")), PBS(("b", "d"))),
-              post_selection=one_photon_per_arm(("a", "b", "c", "d"))),
-        Stage("HWP1_4", elements=(HWP(22.5, ("a", "b", "c", "d"), rails=(0,)),)),
-    )
-
-
-def _no_dump_photons():
-    return PostSelectionPattern(((lambda m: m.rail < 0, 0),))
-
-
-# The PBS1 output arms inherit from transmission: photon 1 transmits into
-# arm a, photon 2 into arm b.
-_PBS1_RELABEL = {"p1": "a", "p2": "b"}
-
-
 HYBRID = {0: (0, H), 1: (1, V), 2: (2, H)}
 
 
-def hybrid_photon(arm, amplitudes, tag_vector=None, source=None):
+def hybrid_photon(arm, amplitudes, tag_vector=None):
     """A photon in the hybrid path-polarization encoding of a qutrit."""
     comps = []
     tag_vector = tag_vector if tag_vector is not None else np.array([1.0])
@@ -437,7 +333,6 @@ def aux_pair_state(visibility=None):
     tags = vis.tag_vectors()
     state = FockState()
     for pol in (H, V):
-        basis = {H: (1.0, 0.0), V: (0.0, 1.0)}[pol]
         c = single_photon(
             [(Mode("c", 0, pol, t), w) for t, w in enumerate(tags["aux_c"]) if abs(w) > AMP_CUTOFF]
         )
@@ -455,14 +350,42 @@ def _add(a, b):
     return FockState(out)
 
 
-def _relabel_arms(state, mapping):
-    out = {}
-    for pattern, amp in state.terms.items():
-        new = tuple(
-            sorted(Mode(mapping.get(m.arm, m.arm), m.rail, m.pol, m.tag) for m in pattern)
-        )
-        out[new] = out.get(new, 0.0) + amp
-    return FockState(out)
+# --- circuit ----------------------------------------------------------------
+
+# The auxiliary pair (``aux_pair_state``) enters the circuit where this
+# marker stands among a stage's elements; its wavepacket tags depend on the
+# run's visibility model.
+AUX_PAIR = "AUX_PAIR"
+
+_AB = ("a", "b")
+_ABCD = ("a", "b", "c", "d")
+
+# The three-dimensional Bell-measurement circuit as (name, elements, accept)
+# stages: the elements act in order, then ``keep`` applies ``accept`` unless
+# it is None. The signal photons enter in the path-polarization hybrid
+# encoding |0> -> H rail0, |1> -> V rail1, |2> -> H rail2 and leave, after
+# the two displacement stages, as {H, V} on rail 0 of arms a and b.
+CIRCUIT = (
+    # Photon 1 transmits into arm a, photon 2 into arm b.
+    ("PBS1", (PBS(("p1", "p2"), ports=_AB),), one_photon_per_arm(_AB)),
+    # Re-encode {H0, V1, H2} -> {V0, H0, H1}; under the half-wave sign
+    # convention used here the composite is a plain relabeling (all +1).
+    ("BD1_BD3", (
+        BD(_AB, {1: 0}),
+        HWP(45.0, _AB, rails=(0,)),
+        HWP(45.0, _AB, rails=(2,)),
+        BD(_AB, {2: 1}),
+        HWP(45.0, _AB, rails=(1,)),
+    ), None),
+    ("HWPS", (HWP(22.5, _AB, rails=(0,)),), None),
+    # Merge rail 1 into rail 0 as V; pre-existing V0 light is displaced
+    # onto the dump rail and removed from the collection path.
+    ("BD2_BD4", (HWP(45.0, _AB, rails=(1,)), BD(_AB, {0: DUMP_RAIL, 1: 0})), no_dump_photons),
+    ("AUX_PBS", (AUX_PAIR, PBS(("a", "c")), PBS(("b", "d"))), one_photon_per_arm(_ABCD)),
+    ("HWP1_4", (HWP(22.5, _ABCD, rails=(0,)),), None),
+)
+
+STAGE_NAMES = ("INPUT",) + tuple(name for name, _, _ in CIRCUIT)
 
 
 def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
@@ -475,20 +398,15 @@ def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
         raise ValueError(f"unknown stage {through_stage!r}")
     vis = visibility or VisibilityModel()
     state = initial_state(input_state, channel, vis)
-    if through_stage == "INPUT":
-        return state
-    for stage in build_hdbsm_circuit():
-        if stage.inject_aux:
-            state = state.tensor(aux_pair_state(vis))
-        for element in stage.elements:
-            state = element.apply(state)
-        if stage.name == "PBS1":
-            state = _relabel_arms(state, _PBS1_RELABEL)
-        if stage.post_selection is not None:
-            state = stage.post_selection.keep(state)
-        if stage.name == through_stage:
-            return state
-    raise AssertionError("unreachable")
+    for _, elements, accept in CIRCUIT[: STAGE_NAMES.index(through_stage)]:
+        for element in elements:
+            if element is AUX_PAIR:
+                state = state.tensor(aux_pair_state(vis))
+            else:
+                state = element.apply(state)
+        if accept is not None:
+            state = keep(state, accept)
+    return state
 
 
 # Distinct (channel, visibility model) pairs whose Kraus sets stay cached.
@@ -608,14 +526,13 @@ __all__ = [
     "PBS",
     "BD",
     "HWP",
-    "PostSelectionPattern",
-    "post_select",
-    "arm_predicate",
+    "keep",
     "one_photon_per_arm",
+    "no_dump_photons",
     "VisibilityModel",
-    "Stage",
+    "AUX_PAIR",
+    "CIRCUIT",
     "STAGE_NAMES",
-    "build_hdbsm_circuit",
     "hybrid_photon",
     "single_photon",
     "initial_state",

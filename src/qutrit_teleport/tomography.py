@@ -174,8 +174,13 @@ def reconstruct_state(counts, method="mle"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def repair_density_matrix(mat, atol=0.0):
+def repair_density_matrix(mat):
     """Symmetrize, clip negative eigenvalues, renormalize the trace.
+
+    Clipping and then rescaling does not give the density matrix nearest
+    to ``mat`` in Frobenius norm: that one lowers every eigenvalue by one
+    common shift, chosen so that the clipped eigenvalues sum to 1 (Smolin,
+    Gambetta and Smith, PRL 108, 070502 (2012)).
 
     Returns (rho, log) where log records the size of each adjustment.
     """

@@ -192,15 +192,24 @@ class TestRobustness:
             if nl > 1 + 1e-9:
                 assert mu > -1e-5
 
-    @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_phase_invariance(self, p1, p2, seed):
+    @given(
+        st.lists(st.floats(0, 2 * math.pi), min_size=3, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_phase_invariance(self, phases, seed, pure):
+        # A diagonal phase unitary D leaves mu and the verdict unchanged.
         rng = np.random.default_rng(seed)
-        rho = algebra.random_density_matrix(3, rng)
-        u = np.diag([1.0, np.exp(1j * p1), np.exp(1j * p2)])
+        if pure:
+            rho = algebra.projector(algebra.random_pure_state(3, rng))
+        else:
+            rho = algebra.random_density_matrix(3, rng)
+        d = np.diag(np.exp(1j * np.array(phases)))
         mu1, _ = certify.robustness_mu(rho)
-        mu2, _ = certify.robustness_mu(u @ rho @ u.conj().T)
-        assert abs(mu1 - mu2) < 5e-6
+        mu2, _ = certify.robustness_mu(d @ rho @ d.conj().T)
+        assert abs(mu1 - mu2) <= certify.BISECT_TOL
+        assert (mu1 > certify.VERDICT_TOL) == (mu2 > certify.VERDICT_TOL)
 
 
 class TestOracle:

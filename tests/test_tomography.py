@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_teleport import algebra, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
@@ -239,6 +241,23 @@ class TestProcessReconstruction:
             fit = tomography.reconstruct_process(self.make_pairs(chi))
             assert np.abs(fit.chi - chi).max() < 1e-6
             assert fit.residual < 1e-10
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 9))
+    def test_cptp_round_trip_from_kraus_channel(self, seed, n_kraus):
+        # An isometry V (3 -> 3 n_kraus) stacks the Kraus operators of a CPTP map.
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(3 * n_kraus, 3)) + 1j * rng.normal(size=(3 * n_kraus, 3))
+        kraus = np.linalg.qr(g)[0].reshape(n_kraus, 3, 3)
+
+        def channel(rho):
+            return np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
+
+        pairs = [(phi, channel(algebra.projector(phi))) for phi in tomography.canonical_kets()]
+        chi = tomography.reconstruct_process(pairs).chi
+        tomography.check_process_matrix(chi)
+        rho = algebra.random_density_matrix(3, rng)
+        assert np.abs(tomography.apply_process(chi, rho) - channel(rho)).max() < 1e-9
 
     def test_unconstrained_fit_is_exact_interpolant(self):
         rng = np.random.default_rng(11)
