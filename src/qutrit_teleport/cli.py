@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 parse error, 3 solver error, 4 data-quality error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -51,6 +52,14 @@ def emit_report(name, config, results, out_dir=None):
         (out / f"{name}.json").write_text(text + "\n")
     print(text)
     return report
+
+
+def _write_csv(out_dir, name, header, rows):
+    """With ``--out``, also write the series as ``DIR/<name>.csv``, floats at 6 decimals."""
+    if out_dir:
+        rows = ([f"{v:.6f}" if isinstance(v, float) else v for v in r] for r in rows)
+        with (Path(out_dir) / f"{name}.csv").open("w", newline="") as f:
+            csv.writer(f).writerows([header, *rows])
 
 
 def _trials(args):
@@ -143,26 +152,39 @@ def _parse_grid(spec):
     return a, b
 
 
+def _certify_grid(chi, grid, closed_interval):
+    """Batch-certify the phase grid through ``chi``; returns the summary and its mus."""
+    summary = certify.batch_certification(
+        lambda r: tomography.apply_process(chi, r, repair=True),
+        grid=grid,
+        closed_interval=closed_interval,
+    )
+    return summary, summary.pop("mus")
+
+
 def cmd_certify(args):
-    if args.batch:
-        chi, _ = dataset.reference_chi()
-        grid = _parse_grid(args.grid)
-        summary = certify.batch_certification(
-            lambda r: tomography.apply_process(chi, r, repair=True),
-            grid=grid,
-            closed_interval=args.closed_interval,
-        )
-        summary = {k: v for k, v in summary.items() if k != "mus"}
-        config = {"grid": args.grid, "closed_interval": args.closed_interval}
-        emit_report("certify_batch", config, summary, args.out)
-        return 0
+    kind, shape = ("process", "9x9") if args.batch else ("density", "3x3")
     if args.matrix:
-        rho, kind, log = dataset.ingest_matrix(args.matrix)
-        if kind != "density":
-            raise ParseError(f"{args.matrix}: expected a 3x3 density matrix")
+        mat, got, log = dataset.ingest_matrix(args.matrix)
+        if got != kind:
+            raise ParseError(f"{args.matrix}: expected a {shape} {kind} matrix")
+    elif args.batch:
+        mat, log = dataset.reference_chi()
     else:
-        rho, log = dataset.repair_and_log_density(np.eye(3) / 3.0)
-    report = certify.certify_state(rho)
+        mat, log = dataset.repair_and_log_density(np.eye(3) / 3.0)
+    if args.batch:
+        grid = _parse_grid(args.grid)
+        summary, mus = _certify_grid(mat, grid, args.closed_interval)
+        config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": args.matrix}
+        emit_report("certify_batch", config, summary, args.out)
+        states = certify.phase_grid_states(*grid, closed_interval=args.closed_interval)
+        rows = [
+            (p1, p2, mu, "genuine_qutrit" if mu > certify.VERDICT_TOL else "qubit_simulable")
+            for ((p1, p2), _), mu in zip(states, mus)
+        ]
+        _write_csv(args.out, "certify_batch", ("phi1", "phi2", "mu", "verdict"), rows)
+        return 0
+    report = certify.certify_state(mat)
     results = {
         "linear_criteria": report.linear_values,
         "nonlinear_criterion": report.nonlinear_lhs,
@@ -209,6 +231,24 @@ def cmd_mub_study(args):
     results = mc.mub_design_study(rate=_exposure(args), trials=_trials(args), seed=args.seed)
     config = {"seed": args.seed, "trials": args.trials, "rate": args.exposure}
     emit_report("mub_study", config, results, args.out)
+    rows = [(d, results[f"mean_{d}"], results[f"err_{d}"]) for d in ("mub", "nonmub")]
+    _write_csv(args.out, "mub_study", ("design", "value", "error"), rows)
+    return 0
+
+
+def cmd_convergence(args):
+    res = mc.convergence_study(
+        tomography.noisy_model_chi(),
+        statistic=args.statistic,
+        trials=_trials(args),
+        rate=_exposure(args),
+        seed=args.seed,
+    )
+    results = {"n_states": res.x_grid, "errors": res.errors, "converged_value": res.converged_value}
+    config = {k: getattr(args, k) for k in ("seed", "trials", "exposure", "statistic")}
+    emit_report("convergence", config, results, args.out)
+    rows = [(n, res.converged_value, err) for n, err in zip(res.x_grid, res.errors)]
+    _write_csv(args.out, "convergence", ("n_states", "value", "error"), rows)
     return 0
 
 
@@ -252,12 +292,7 @@ def cmd_full_reproduction(args):
         0.02,
     )
 
-    grid = _parse_grid(args.grid)
-    summary = certify.batch_certification(
-        lambda r: tomography.apply_process(chi_ref, r, repair=True),
-        grid=grid,
-        closed_interval=args.closed_interval,
-    )
+    summary, _ = _certify_grid(chi_ref, _parse_grid(args.grid), args.closed_interval)
     check("n_genuine", float(summary["n_genuine"]), dataset.LISTED_N_GENUINE, 15)
     check(
         "mean_mu_of_genuine",
@@ -271,7 +306,7 @@ def cmd_full_reproduction(args):
         "mub_fidelities": fids,
         "mub_mean": mean_f,
         "refit_process_fidelity": tomography.process_fidelity(fit.chi),
-        "certification": {k: v for k, v in summary.items() if k != "mus"},
+        "certification": summary,
         "checks": checks,
         "all_checks_pass": all(c["ok"] for c in checks),
     }
@@ -294,9 +329,13 @@ _OPTIONS = {
     "exposure": ("--exposure", {"type": float, "default": 150.0}),
     "grid": ("--grid", {"default": "20x20"}),
     "closed_interval": ("--closed-interval", {"action": "store_true"}),
-    "matrix": ("--matrix", {"default": None, "help": "density-matrix JSON file"}),
+    "matrix": ("--matrix", {"default": None, "help": "matrix JSON file (9x9 with --batch)"}),
     "batch": ("--batch", {"action": "store_true"}),
     "check": ("--check", {"action": "store_true"}),
+    "statistic": (
+        "--statistic",
+        {"choices": ("average_fidelity", "mean_mu"), "default": "average_fidelity"},
+    ),
 }
 
 _COMMANDS = (
@@ -306,6 +345,7 @@ _COMMANDS = (
     ("certify", cmd_certify, ("matrix", "batch", "grid", "closed_interval")),
     ("mc_errors", cmd_mc_errors, ("seed", "trials", "exposure")),
     ("mub_study", cmd_mub_study, ("seed", "trials", "exposure")),
+    ("convergence", cmd_convergence, ("seed", "trials", "exposure", "statistic")),
     ("full_reproduction", cmd_full_reproduction, ("grid", "closed_interval", "check")),
 )
 
@@ -328,7 +368,7 @@ def build_parser():
         for option in options:
             flag, kwargs = _OPTIONS[option]
             sp.add_argument(flag, **kwargs)
-        sp.add_argument("--out", default=None, help="directory for the JSON report")
+        sp.add_argument("--out", default=None, help="directory for the JSON report and CSV")
         sp.set_defaults(fn=fn)
     return p
 

@@ -15,6 +15,12 @@ from . import algebra, certify, tomography
 from .errors import IllPosedError, InsufficientDataError, SolverError
 
 
+def _check_trials(n_trials):
+    """Error bars are ensemble stds, which need at least two trials."""
+    if n_trials < 2:
+        raise ValueError("need at least 2 trials")
+
+
 def trial_rngs(seed, n_trials):
     """Independent per-trial generators split from a master seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trials)]
@@ -44,8 +50,7 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     raising InsufficientDataError, IllPosedError or SolverError are
     excluded and counted; any other exception propagates.
     """
-    if n_trials < 2:
-        raise ValueError("need at least 2 trials")
+    _check_trials(n_trials)
     samples = []
     n_excluded = 0
     for rng in trial_rngs(seed, n_trials):
@@ -65,19 +70,17 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     )
 
 
-def counts_for_state(rho, rate, rng, per_setting=False):
+def counts_for_state(rho, rate, rng):
     """Simulate one tomography run of a state at the given counting rate.
 
-    By default ``rate`` is the expected total count over all nine
-    settings (exposure split accordingly); with ``per_setting`` each
-    setting individually has expected total ``rate``.
+    ``rate`` is the expected total count over all nine settings; the
+    exposure is split accordingly.
     """
     probs = np.clip(tomography.born_probabilities(rho), 0.0, None)
-    exposure = float(rate) if per_setting else float(rate) / probs.sum()
-    return tomography.simulate_counts(rho, exposure, rng)
+    return tomography.simulate_counts(rho, float(rate) / probs.sum(), rng)
 
 
-def _fit_channel(chi_true, input_states, rate, rng, per_setting=False, estimator="mle"):
+def _fit_channel(chi_true, input_states, rate, rng, estimator="mle"):
     """Simulate tomography of each output and refit the process matrix.
 
     estimator 'mle' uses maximum-likelihood states and the constrained
@@ -88,9 +91,16 @@ def _fit_channel(chi_true, input_states, rate, rng, per_setting=False, estimator
     pairs = []
     for phi in input_states:
         rho_out = tomography.apply_process(chi_true, algebra.projector(phi), repair=True)
-        counts = counts_for_state(rho_out, rate, rng, per_setting=per_setting)
+        counts = counts_for_state(rho_out, rate, rng)
         pairs.append((phi, tomography.reconstruct_state(counts, estimator)))
     return tomography.reconstruct_process(pairs, physical=(estimator == "mle")).chi
+
+
+# Each convergence statistic scores one probe state phi after the channel.
+_STATISTICS = {
+    "average_fidelity": lambda rho_out, phi: algebra.fidelity(rho_out, phi),
+    "mean_mu": lambda rho_out, phi: certify.robustness_mu(rho_out)[0],
+}
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,10 @@ def convergence_study(
     std. The state-sampling contribution dies off with n while the
     channel-fit noise does not, so the curve plateaus at that floor.
     """
+    _check_trials(trials)
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    score = _STATISTICS[statistic]
     grid = tuple(n_states_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
@@ -124,12 +138,7 @@ def convergence_study(
             vals = []
             for phi in probes:
                 rho_out = tomography.apply_process(chi_hat, algebra.projector(phi), repair=True)
-                if statistic == "average_fidelity":
-                    vals.append(algebra.fidelity(rho_out, phi))
-                elif statistic == "mean_mu":
-                    vals.append(certify.robustness_mu(rho_out)[0])
-                else:
-                    raise ValueError(f"unknown statistic {statistic!r}")
+                vals.append(score(rho_out, phi))
             values[t, g] = np.mean(vals)
     errors = values.std(axis=0, ddof=1)
     return StudyResult(
@@ -137,12 +146,11 @@ def convergence_study(
     )
 
 
-def mub_design_study(
-    rate=150, trials=100, seed=0, weight=0.55, per_setting=False, estimator="linear"
-):
+def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     """Compare MUB-input vs canonical-input process tomography designs.
 
-    The true channel is weight * identity + (1 - weight) * depolarizing.
+    The true channel is ``tomography.noisy_model_chi()``, 0.55 * identity
+    + 0.45 * depolarizing.
     Each trial refits chi from Poisson tomography with either the twelve
     MUB inputs or the nine canonical tomography inputs, then scores the
     mean fidelity of the twelve MUB states through the fitted channel.
@@ -151,15 +159,14 @@ def mub_design_study(
     in the counts), so the trial means sit at the true value; the 'mle'
     chain is physical but noticeably biased low at low counting rates.
     """
-    chi_true = tomography.noisy_model_chi(weight)
+    _check_trials(trials)
+    chi_true = tomography.noisy_model_chi()
     mub_inputs = algebra.mub_family()
     canonical_inputs = tomography.canonical_kets()
     res = {"mub": [], "nonmub": []}
     for rng in trial_rngs(seed, trials):
         for key, inputs in (("mub", mub_inputs), ("nonmub", canonical_inputs)):
-            chi_hat = _fit_channel(
-                chi_true, inputs, rate, rng, per_setting=per_setting, estimator=estimator
-            )
+            chi_hat = _fit_channel(chi_true, inputs, rate, rng, estimator=estimator)
             _, mean_f = tomography.mub_fidelities(chi_hat, repair=(estimator == "mle"))
             res[key].append(mean_f)
     mub = np.array(res["mub"])

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import algebra
+from . import algebra, protocol
 from .errors import IllPosedError, InsufficientDataError, SolverError
 
 TP_TOL = 1e-6
@@ -27,20 +27,11 @@ PSD_TOL = 1e-9
 
 
 def canonical_kets():
-    """The nine tomography projectors, in measurement order."""
-    k0, k1, k2 = (algebra.ket(i) for i in range(3))
-    r2 = 1 / math.sqrt(2)
-    return [
-        k0,
-        k1,
-        k2,
-        r2 * (k0 + k1),
-        r2 * (k0 + 1j * k1),
-        r2 * (k0 + k2),
-        r2 * (k0 + 1j * k2),
-        r2 * (k1 + k2),
-        r2 * (k1 + 1j * k2),
-    ]
+    """The nine tomography projectors, in measurement order.
+
+    They are the first nine benchmark inputs phi_1 .. phi_9.
+    """
+    return protocol.benchmark_input_states()[:9]
 
 
 CANONICAL_KETS = canonical_kets()

@@ -1,11 +1,17 @@
+import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qutrit_teleport import algebra, cli, dataset, tomography
 from qutrit_teleport.errors import DataQualityError, ParseError
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "qutrit_teleport" / "fixtures"
 
 
 class TestMatrixSchema:
@@ -176,6 +182,9 @@ class TestCli:
             ["mc_errors", "--trials", "2", "--exposure", "inf"],
             ["certify", "--trials", "1", "--exposure", "-3", "--visibility", "7"],
             ["teleport_sim", "--exposure", "0"],
+            ["convergence", "--trials", "1"],
+            ["certify", "--batch", "--matrix", "/nonexistent/matrix.json"],
+            ["certify", "--batch", "--matrix", str(FIXTURES / "identity_mixed.json")],
         ],
         ids=[
             "missing-matrix-file",
@@ -189,6 +198,9 @@ class TestCli:
             "infinite-exposure",
             "certify-foreign-options",
             "teleport-sim-foreign-option",
+            "convergence-one-trial",
+            "batch-missing-matrix-file",
+            "batch-density-matrix-file",
         ],
     )
     def test_boundary_inputs_exit_parse(self, argv, capsys):
@@ -244,3 +256,81 @@ class TestCli:
         code, report = self.run(["mub_study", "--trials", "5", "--seed", "1"], capsys)
         assert code == 0
         assert 0.6 < report["results"]["mean_mub"] < 0.8
+
+
+# The commands that also write DIR/<pipeline>.csv with --out DIR.
+FOLDED = {
+    "certify_batch": ["certify", "--batch", "--grid", "2x3"],
+    "mub_study": ["mub_study", "--trials", "2"],
+    "convergence": ["convergence", "--trials", "2"],
+}
+
+
+def run_with_out(argv, out_dir, name):
+    """Runs a command with --out; returns its JSON report and CSV rows."""
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    with (out_dir / f"{name}.csv").open(newline="") as f:
+        return json.loads((out_dir / f"{name}.json").read_text()), list(csv.reader(f))
+
+
+@pytest.fixture(scope="module")
+def folded_runs(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("folded")
+    return {name: run_with_out(argv, out_dir, name) for name, argv in FOLDED.items()}
+
+
+class TestCsv:
+    def test_batch_rows(self, folded_runs):
+        report, rows = folded_runs["certify_batch"]
+        assert rows[0] == ["phi1", "phi2", "mu", "verdict"] and len(rows) == 1 + 6
+        assert rows[2][:2] == ["0.000000", "1.047198"]
+        verdicts = [r[3] for r in rows[1:]]
+        assert verdicts.count("genuine_qutrit") == report["results"]["n_genuine"] == 3
+
+    def test_mub_study_rows(self, folded_runs):
+        report, rows = folded_runs["mub_study"]
+        r = report["results"]
+        assert rows == [["design", "value", "error"]] + [
+            [d, f"{r['mean_' + d]:.6f}", f"{r['err_' + d]:.6f}"] for d in ("mub", "nonmub")
+        ]
+
+    def test_convergence_rows(self, folded_runs):
+        report, rows = folded_runs["convergence"]
+        r = report["results"]
+        assert r["n_states"] == [1, 2, 5, 10, 20, 50]
+        assert rows == [["n_states", "value", "error"]] + [
+            [str(n), f"{r['converged_value']:.6f}", f"{e:.6f}"]
+            for n, e in zip(r["n_states"], r["errors"])
+        ]
+
+    def test_no_csv_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert [cli.main(argv) for argv in FOLDED.values()] == [0, 0, 0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_matrix_file(self, tmp_path):
+        path = tmp_path / "chi.json"
+        dataset.save_matrix(tomography.noisy_model_chi(0.7), path)
+        argv = ["certify", "--batch", "--grid", "6x5"]
+        bundled, _ = run_with_out(argv, tmp_path, "certify_batch")
+        report, rows = run_with_out([*argv, "--matrix", str(path)], tmp_path, "certify_batch")
+        assert (bundled["config"]["matrix"], report["config"]["matrix"]) == (None, str(path))
+        assert bundled["results"]["n_genuine"] < report["results"]["n_genuine"] == 30
+        assert {r[3] for r in rows[1:]} == {"genuine_qutrit"}
+
+
+def test_readme_cli_lines_parse():
+    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```sh")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True) for line in block.strip().splitlines()]
+    assert {line[1] for line in lines} == {name for name, _, _ in cli._COMMANDS}
+    for prog, *argv in lines:
+        assert prog == "qutrit-teleport"
+        cli.build_parser().parse_args(argv)
+
+
+def test_cli_is_the_only_entry_point():
+    needle = "scripts" + "/"  # split so that this file does not match itself
+    files = [ROOT / "README.md", ROOT / "pyproject.toml"]
+    files += [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    assert [str(f) for f in files if needle in f.read_text()] == []
+    assert not (ROOT / "scripts").exists()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,24 @@ def fidelity_statistic(target):
         return algebra.fidelity(rho, target)
 
     return stat
+
+
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Fails the test if a study starts a channel fit."""
+
+    def fit(*args, **kwargs):
+        raise AssertionError("channel fit started")
+
+    monkeypatch.setattr(mc, "_fit_channel", fit)
+
+
+@pytest.mark.parametrize(
+    "study", [mc.mub_design_study, functools.partial(mc.convergence_study, np.eye(9))]
+)
+def test_studies_need_two_trials(study, no_fit):
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        study(trials=1)
 
 
 class TestTrialRngs:
@@ -95,19 +115,14 @@ class TestCountsForState:
         # expected total over all settings ~ 900
         assert 700 < sum(table.counts) < 1100
 
-    def test_per_setting_rate(self):
-        rho = np.eye(3) / 3
-        table = mc.counts_for_state(rho, 900.0, np.random.default_rng(0), per_setting=True)
-        assert sum(table.counts) > 2000  # nine settings at ~900/3+ each
-
 
 class TestConvergenceStudy:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             mc.convergence_study(tomography.noisy_model_chi(), n_states_grid=(5, 2))
 
-    def test_unknown_statistic(self):
-        with pytest.raises(ValueError):
+    def test_unknown_statistic(self, no_fit):  # rejected before any fit
+        with pytest.raises(ValueError, match="unknown statistic 'bogus'"):
             mc.convergence_study(
                 tomography.noisy_model_chi(), statistic="bogus",
                 n_states_grid=(1, 2), trials=2,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_teleport import algebra, tomography
+from qutrit_teleport import algebra, protocol, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
 
 
@@ -25,6 +25,9 @@ class TestProjectors:
         assert np.abs(kets[3] - r2 * np.array([1, 1, 0])).max() < 1e-12
         assert np.abs(kets[4] - r2 * np.array([1, 1j, 0])).max() < 1e-12
         assert np.abs(kets[8] - r2 * np.array([0, 1, 1j])).max() < 1e-12
+        # one definition: the first nine benchmark inputs, byte for byte
+        first_nine = [phi.tobytes() for phi in protocol.benchmark_input_states()[:9]]
+        assert [k.tobytes() for k in kets] == first_nine
 
     def test_born_probabilities_basis_triple(self):
         rng = np.random.default_rng(0)
