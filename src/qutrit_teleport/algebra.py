@@ -20,8 +20,6 @@ from .errors import DimensionError
 
 OMEGA = np.exp(2j * np.pi / 3)
 
-ATOL = 1e-12
-
 
 def ket(index, dim=3):
     """Computational basis column vector |index> in the given dimension."""

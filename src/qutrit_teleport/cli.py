@@ -176,7 +176,7 @@ def cmd_certify(args):
         grid = _parse_grid(args.grid)
         summary, mus = _certify_grid(mat, grid, args.closed_interval)
         config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": args.matrix}
-        emit_report("certify_batch", config, summary, args.out)
+        emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
         states = certify.phase_grid_states(*grid, closed_interval=args.closed_interval)
         rows = [
             (p1, p2, mu, "genuine_qutrit" if mu > certify.VERDICT_TOL else "qubit_simulable")

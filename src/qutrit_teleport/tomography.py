@@ -329,6 +329,25 @@ def _design_operator(inputs):
     return _real_rows(outs)
 
 
+def _fit_design(inputs):
+    """Read-only (A, A^T A, 1 / ||A^T A||_2) for an input set, cached by its kets."""
+    kets = np.array(inputs, dtype=complex)
+    return _cached_fit_design(kets.tobytes(), kets.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_fit_design(data, shape):
+    kets = np.frombuffer(data, dtype=complex).reshape(shape)
+    proj_stack = np.array([algebra.projector(p).ravel() for p in kets])
+    if np.linalg.matrix_rank(proj_stack, tol=1e-9) < 9:
+        raise IllPosedError("input states do not span qutrit operator space")
+    A = _design_operator(kets)
+    gram = A.T @ A
+    for a in (A, gram):
+        a.flags.writeable = False
+    return A, gram, 1.0 / np.linalg.norm(gram, 2)
+
+
 @functools.cache
 def _tp_constraint():
     """Affine TP constraint rows M x = b in parameter space, with pinv(M)."""
@@ -340,19 +359,39 @@ def _tp_constraint():
     return arrays
 
 
+@functools.cache
+def _tp_map():
+    """The TP projection as one affine map v -> K v + k on chi.view(float).
+
+    K = R (I - M^+ M) S and k = R M^+ b, where S is ``_params_from_chi``
+    and R is ``_chi_from_params`` written as matrices. S reads only the
+    real diagonal and the upper triangle, so the map stays exact on
+    inputs that are Hermitian only to rounding.
+    """
+    M, Mp, b = _tp_constraint()
+    R = _PARAM_BASIS.view(float).reshape(_N * _N, -1).T
+    S = np.array(
+        [_params_from_chi(e) for e in np.eye(2 * _N * _N).view(complex).reshape(-1, _N, _N)]
+    ).T
+    K = R @ (np.eye(_N * _N) - Mp @ M) @ S
+    k = R @ (Mp @ b)
+    for a in (K, k):
+        a.flags.writeable = False
+    return K, k
+
+
 def project_tp(chi):
     """Euclidean projection of chi onto the trace-preserving affine subspace."""
-    M, Mp, b = _tp_constraint()
-    x = _params_from_chi(np.asarray(chi, dtype=complex))
-    x = x - Mp @ (M @ x - b)
-    return _chi_from_params(x)
+    K, k = _tp_map()
+    v = np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
+    return (K @ v + k).view(complex).reshape(_N, _N)
 
 
 def project_psd(chi):
     chi = np.asarray(chi, dtype=complex)
     chi = (chi + chi.conj().T) / 2
     w, u = np.linalg.eigh(chi)
-    return u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
+    return (u * np.clip(w, 0.0, None)) @ u.conj().T
 
 
 def project_physical(chi, tol=1e-9, max_iter=20000):
@@ -361,10 +400,12 @@ def project_physical(chi, tol=1e-9, max_iter=20000):
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(max_iter):
-        y = project_psd(x + p)
-        p = x + p - y
-        x_new = project_tp(y + q)
-        q = y + q - x_new
+        xp = x + p
+        y = project_psd(xp)
+        p = xp - y
+        yq = y + q
+        x_new = project_tp(yq)
+        q = yq - x_new
         if np.abs(x_new - x).max() < tol:
             x = x_new
             break
@@ -397,15 +438,9 @@ def reconstruct_process(pairs, tol=1e-9, max_iter=20000, physical=True):
     inputs = [algebra.check_pure_state(np.asarray(p, dtype=complex)) for p, _ in pairs]
     outputs = [np.asarray(r, dtype=complex) for _, r in pairs]
 
-    proj_stack = np.array([algebra.projector(p).ravel() for p in inputs])
-    if np.linalg.matrix_rank(proj_stack, tol=1e-9) < 9:
-        raise IllPosedError("input states do not span qutrit operator space")
-
-    A = _design_operator(inputs)
+    A, gram, step = _fit_design(inputs)
     b = np.concatenate([np.r_[o.real.ravel(), o.imag.ravel()] for o in outputs])
-    gram = A.T @ A
     atb = A.T @ b
-    step = 1.0 / np.linalg.norm(gram, 2)
 
     def proj(v):
         return _params_from_chi(project_physical(_chi_from_params(v)))

@@ -164,6 +164,19 @@ class TestCli:
         code = cli.main(["certify", "--matrix", str(path)])
         assert code == cli.EXIT_DATA_QUALITY
 
+    def test_batch_reports_adjustments(self, capsys, tmp_path):
+        # the batch report carries the repair log, as single-state certify does
+        _, bundled = self.run(["certify", "--batch", "--grid", "1x1"], capsys)
+        assert bundled["results"]["adjustments"].keys() == dataset.reference_chi()[1].keys()
+        chi = tomography.noisy_model_chi(0.7)
+        chi[0, 1] += 0.01j
+        path = tmp_path / "chi.json"
+        dataset.save_matrix(chi, path)
+        argv = ["certify", "--batch", "--grid", "1x1", "--matrix", str(path)]
+        code, report = self.run(argv, capsys)
+        assert code == 0
+        assert report["results"]["adjustments"]["hermiticity_residual"] == 0.01
+
     def test_bad_grid_spec(self, capsys):
         code = cli.main(["certify", "--batch", "--grid", "garbage"])
         assert code == cli.EXIT_PARSE

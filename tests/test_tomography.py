@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_teleport import algebra, protocol, tomography
+from qutrit_teleport import algebra, dataset, protocol, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
 
 
@@ -374,7 +374,9 @@ class TestParameterMaps:
         with pytest.raises(ValueError):
             tomography._PARAM_BASIS[0, 0, 0] = 2.0
         M, Mp, b = tomography._tp_constraint()
-        assert not (M.flags.writeable or Mp.flags.writeable or b.flags.writeable)
+        K, k = tomography._tp_map()
+        A, gram, _ = tomography._fit_design(tomography.canonical_kets())
+        assert not any(a.flags.writeable for a in (M, Mp, b, K, k, A, gram))
 
     @pytest.mark.parametrize("family", ["mub", "canonical"])
     def test_design_operator_matches_probes(self, family):
@@ -394,6 +396,128 @@ class TestParameterMaps:
         assert np.array_equal(
             tomography.tp_matrix(chis), [tomography.tp_matrix(c) for c in chis]
         )
+
+
+# Reference oracle for the chi projections: the parameter-space TP step, the
+# u diag(w) u^dagger PSD step and the Dykstra loop over them, which the
+# matrix-space affine map and the column-scaled PSD step replace.
+def ref_project_tp(chi):
+    M, Mp, b = tomography._tp_constraint()
+    x = tomography._params_from_chi(np.asarray(chi, dtype=complex))
+    return tomography._chi_from_params(x - Mp @ (M @ x - b))
+
+
+def ref_project_psd(chi):
+    chi = (chi + chi.conj().T) / 2
+    w, u = np.linalg.eigh(chi)
+    return u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
+
+
+def ref_project_physical(chi, tol=1e-9, max_iter=20000):
+    x = np.asarray(chi, dtype=complex)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_iter):
+        y = ref_project_psd(x + p)
+        p = x + p - y
+        x_new = ref_project_tp(y + q)
+        q = y + q - x_new
+        if np.abs(x_new - x).max() < tol:
+            return x_new
+        x = x_new
+    raise AssertionError("reference Dykstra loop did not converge")
+
+
+def published_pairs():
+    targets = dataset.reference_targets()[:9]
+    return [(phi, dataset.reference_rho(i)[0]) for i, phi in enumerate(targets, 1)]
+
+
+def random_hermitian_chi(rng, scale=0.1):
+    chi = tomography.noisy_model_chi() + scale * (
+        rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    )
+    return (chi + chi.conj().T) / 2
+
+
+class TestProjectionOracle:
+    def test_project_tp_matches_reference(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            chi = random_hermitian_chi(rng)
+            # y + q inside the Dykstra loop is Hermitian only to rounding
+            nearly = chi + 1e-15 * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+            # both maps read only the real diagonal and the upper triangle
+            lower = chi + np.tril(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), -1)
+            lower[np.diag_indices(9)] += 1j * rng.normal(size=9)
+            for x in (chi, nearly, lower):
+                assert np.abs(tomography.project_tp(x) - ref_project_tp(x)).max() < 1e-14
+
+    def test_project_psd_matches_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            chi = random_hermitian_chi(rng, scale=0.3)
+            assert np.abs(tomography.project_psd(chi) - ref_project_psd(chi)).max() < 1e-14
+
+    def test_project_physical_matches_reference(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            chi = random_hermitian_chi(rng)
+            diff = tomography.project_physical(chi) - ref_project_physical(chi)
+            assert np.abs(diff).max() < 1e-12
+
+    def test_published_fit_matches_reference(self, monkeypatch):
+        fit = tomography.reconstruct_process(published_pairs())
+        monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
+        ref = tomography.reconstruct_process(published_pairs())
+        assert fit.n_iterations == ref.n_iterations == 264
+        assert np.abs(fit.chi - ref.chi).max() < 1e-12
+
+    def test_fit_projects_through_module_attribute(self, monkeypatch):
+        # perfbench --trace 1 times the Dykstra layer by wrapping this attribute
+        calls = []
+        original = tomography.project_physical
+
+        def counting(chi, *args, **kwargs):
+            calls.append(chi)
+            return original(chi, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "project_physical", counting)
+        fit = tomography.reconstruct_process(published_pairs())
+        assert len(calls) == fit.n_iterations + 1
+
+
+class TestDesignCache:
+    def random_kets(self, rng, n=9):
+        return [algebra.random_pure_state(3, rng) for _ in range(n)]
+
+    def test_equal_input_set_hits(self):
+        info = tomography._cached_fit_design.cache_info
+        A, gram, step = tomography._fit_design(tomography.canonical_kets())
+        hits = info().hits
+        anew = [np.array(k, copy=True) for k in tomography.canonical_kets()]
+        again = tomography._fit_design(anew)
+        assert info().hits == hits + 1
+        assert np.array_equal(again[0], A)
+        assert np.array_equal(A, tomography._design_operator(anew))
+        assert np.array_equal(gram, A.T @ A)
+        assert step == 1.0 / np.linalg.norm(A.T @ A, 2)
+
+    def test_other_input_set_misses(self):
+        info = tomography._cached_fit_design.cache_info
+        tomography._fit_design(tomography.canonical_kets())
+        misses = info().misses
+        kets = self.random_kets(np.random.default_rng(19))
+        A, _, _ = tomography._fit_design(kets)
+        assert info().misses == misses + 1
+        assert np.array_equal(A, tomography._design_operator(kets))
+
+    def test_cache_is_bounded(self):
+        info = tomography._cached_fit_design.cache_info
+        rng = np.random.default_rng(20)
+        for _ in range(info().maxsize + 2):
+            tomography._fit_design(self.random_kets(rng))
+        assert info().currsize == info().maxsize
 
 
 class TestBasisConversion:
