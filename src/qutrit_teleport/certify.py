@@ -7,11 +7,14 @@ fidelity witness, the feasibility test for such a decomposition, and the
 white-noise robustness mu (the minimal noise admixture that makes the
 state simulable; mu > 0 certifies genuine three-level coherence).
 
-The feasibility problem reduces exactly to one scalar concave
-maximization: each off-diagonal of the target belongs to a unique block,
-so the block diagonals are the only unknowns, constrained by three
-linear budgets and three hyperbolic (2x2 PSD) inequalities. Its
-maximizer is closed-form, the slack's stationary point (_best_allocation).
+A target is such a mixture iff its comparison matrix M -- the diagonal
+kept, each off-diagonal replaced by -|target_jk| -- is PSD (factor width
+two is the H-matrix property: Boman, Chen, Parekh and Toledo, Linear
+Algebra Appl. 405, 239 (2005)). Noise maps M to (1-mu)*M + (mu/3)*I, so
+with lam = lambda_min(M) the robustness is mu* = -3*lam/(1 - 3*lam), or
+-1 when lam >= 1/6. mu is reported rounded up onto the grid -1 + j*2**-20.
+The certificate is the closed-form block allocation at the slack's
+stationary point (_decomposition).
 """
 
 from __future__ import annotations
@@ -22,11 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import SolverError
 
 VERDICT_TOL = 1e-7
-BISECT_TOL = 1e-6
-RESIDUAL_TOL = 1e-9
+# mu is reported on the grid -1 + j*MU_STEP, the least point where the
+# noisy state's comparison matrix has no eigenvalue below -EIG_TOL.
+MU_STEP = 2.0**-20
+EIG_TOL = 1e-12
+# The certificate is built for target + CERT_SHIFT*I, which is strictly
+# feasible when the target's comparison matrix has no eigenvalue below
+# -EIG_TOL, so no block diagonal vanishes. It reconstructs the target to
+# CERT_SHIFT, inside the 1e-7 that qubit_mixture_feasibility checks.
+CERT_SHIFT = 1e-10
 
 LINEAR_TRIPLES = (
     (1, 4, 6),
@@ -65,7 +74,7 @@ def fidelity_witness(rho):
 
 @dataclass(frozen=True)
 class SubspaceDecomposition:
-    """Certificate of qubit-simulability: target = sigma01 + sigma02 + sigma12."""
+    """Certificate of qubit-simulability: target = sigma01 + sigma02 + sigma12 (to atol)."""
 
     sigma_01: np.ndarray
     sigma_02: np.ndarray
@@ -115,52 +124,31 @@ def _allocation(d, r, w):
     return a1, r[0] / a1, w[0] * span, d[1] * w[1] * span / a1
 
 
-def _slack(w, d, r):
-    """Feasibility slack at the allocation of weights w (larger is better).
+def _comparison_matrix(target):
+    """The target's diagonal with each off-diagonal replaced by -|target_jk|."""
+    m = -np.abs(np.triu(target, 1))
+    m = m + m.T
+    m[np.diag_indices(3)] = np.diag(target).real
+    return m
 
-    The level-2 budget d2 must cover r2/a2 + r3/a3. The slack is concave
-    in a1 (sums of negatives of convex reciprocals).
+
+def _decomposition(target):
+    """Blocks summing to target + CERT_SHIFT*I, at the slack's stationary point.
+
+    With (a1, b1), (a2, b2), (a3, d2 - b2) the block diagonals, the level-2
+    budget d2 must cover r2/(d0 - a1) + r3/(d1 - r1/a1), concave in a1. Its
+    stationary point solves sqrt(r2)*(a1*d1 - r1) = sqrt(r1*r3)*(d0 - a1),
+    so a1* is the mean of lo and hi weighted by sqrt(r2)*d1 and
+    sqrt(r1*r3). With r2 = 0 the slack does not decrease in a1 (take hi);
+    otherwise, with r1*r3 = 0, it does not increase (take lo).
     """
-    _, _, a2, a3 = _allocation(d, r, w)
-    need = 0.0
-    if r[1] > 0:
-        if a2 <= 0:
-            return -np.inf
-        need += r[1] / a2
-    if r[2] > 0:
-        if a3 <= 0:
-            return -np.inf
-        need += r[2] / a3
-    if a3 < -1e-15:
-        return -np.inf
-    return d[2] - need
-
-
-def _best_allocation(target):
-    """Maximize the feasibility slack in closed form; returns (slack, w*).
-
-    In a1 the slack is d2 - r2/(d0 - a1) - r3/(d1 - r1/a1). Its stationary
-    point solves sqrt(r2)*(a1*d1 - r1) = sqrt(r1*r3)*(d0 - a1), so a1* is
-    the mean of lo and hi weighted by sqrt(r2)*d1 and sqrt(r1*r3). With
-    r2 = 0 the slack does not decrease in a1 (take hi); otherwise, with
-    r1*r3 = 0, it does not increase (take lo).
-    """
-    d, r = _reduction_data(target)
-    if d.min() < -1e-12:
-        return -np.inf, None
-    if r[0] > 0 and (d[1] <= 0 or r[0] / d[1] > d[0]):
-        return -np.inf, None
+    d, r = _reduction_data(target + CERT_SHIFT * np.eye(3))
     if r[1] == 0:
         w = (0.0, 1.0)
     elif r[0] == 0 or r[2] == 0:
         w = (1.0, 0.0)
     else:
         w = (math.sqrt(r[1]) * d[1], math.sqrt(r[0]) * math.sqrt(r[2]))
-    return _slack(w, d, r), w
-
-
-def _decomposition_from_allocation(target, w):
-    d, r = _reduction_data(target)
     a1, b1, a2, a3 = _allocation(d, r, w)
     b2 = min(r[1] / a2 if r[1] > 0 else 0.0, d[2])
     diagonals = ((a1, b1), (a2, b2), (a3, max(d[2] - b2, 0.0)))
@@ -173,13 +161,12 @@ def _decomposition_from_allocation(target, w):
     return SubspaceDecomposition(*blocks)
 
 
-def qubit_mixture_feasibility(rho, slack_tol=RESIDUAL_TOL):
+def qubit_mixture_feasibility(rho):
     """A SubspaceDecomposition of rho if one exists, else None."""
     rho = algebra.check_density_matrix(rho, dim=3)
-    slack, w = _best_allocation(rho)
-    if slack < -slack_tol:
+    if np.linalg.eigvalsh(_comparison_matrix(rho))[0] < -EIG_TOL:
         return None
-    dec = _decomposition_from_allocation(rho, w)
+    dec = _decomposition(rho)
     dec.check(rho, atol=1e-7)
     return dec
 
@@ -188,36 +175,22 @@ def _noisy_state(rho, mu):
     return mu * np.eye(3, dtype=complex) / 3.0 + (1 - mu) * rho
 
 
-def robustness_mu(rho, tol=BISECT_TOL):
+def robustness_mu(rho):
     """Minimal mu with mu*I/3 + (1-mu)*rho qubit-simulable, and a certificate.
 
-    Feasibility is monotone in mu (mixing toward I/3 along a line into a
-    convex set), so bisection over [-1, 1] applies. Returns (mu,
-    decomposition-at-optimum-or-slightly-above).
+    For mu <= 1 the noisy state's comparison matrix is (1-mu)*M + (mu/3)*I,
+    so its least eigenvalue is (1-mu)*lam + mu/3 with lam = lambda_min(M).
+    mu is the least point of the grid -1 + j*MU_STEP where that is at least
+    -EIG_TOL; it is -1 when lam >= 1/6. Returns (mu, decomposition at mu).
     """
     rho = algebra.check_density_matrix(rho, dim=3)
-
-    def feasible(mu):
-        slack, w = _best_allocation(_noisy_state(rho, mu))
-        return slack >= -RESIDUAL_TOL, w
-
-    lo, hi = -1.0, 1.0
-    ok_hi, best_w = feasible(hi)
-    if not ok_hi:
-        raise SolverError("bisection bracket failure: I/3 direction infeasible")
-    ok_lo, w = feasible(lo)
-    if ok_lo:
-        dec = _decomposition_from_allocation(_noisy_state(rho, lo), w)
-        return lo, dec
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        ok, w = feasible(mid)
-        if ok:
-            hi, best_w = mid, w
-        else:
-            lo = mid
-    dec = _decomposition_from_allocation(_noisy_state(rho, hi), best_w)
-    return hi, dec
+    lam = float(np.linalg.eigvalsh(_comparison_matrix(rho))[0])
+    steps = 0
+    if lam < 1 / 6:
+        mu_min = -3 * (lam + EIG_TOL) / (1 - 3 * lam)
+        steps = max(math.ceil((mu_min + 1) / MU_STEP), 0)
+    mu = -1.0 + steps * MU_STEP
+    return mu, _decomposition(_noisy_state(rho, mu))
 
 
 def oracle_feasible(rho, mu=0.0, n_grid=200, slack_tol=None):

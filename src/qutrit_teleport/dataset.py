@@ -15,6 +15,7 @@ form); ``load_reference_chi`` converts it to this package's convention
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -63,6 +64,11 @@ def save_matrix(mat, path):
         json.dump(matrix_to_json(mat), f, indent=1)
 
 
+def _is_finite_number(v):
+    """A JSON number: not a bool, and not NaN or Infinity, which json.load accepts."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def parse_matrix(doc, source="<memory>"):
     """Validate the {"dim", "entries"} schema and return a complex array."""
     if not isinstance(doc, dict):
@@ -84,9 +90,9 @@ def parse_matrix(doc, source="<memory>"):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_finite_number(v) for v in cell)
             ):
-                raise ParseError(f"{source}: entry ({i},{j}) must be [re, im]")
+                raise ParseError(f"{source}: entry ({i},{j}) must be [re, im] of finite numbers")
             mat[i, j] = complex(cell[0], cell[1])
     return mat
 
@@ -131,7 +137,7 @@ def repair_and_log_process(mat, cap=REPAIR_CAP, assume_choi_normalized=None):
     chi = tomography.chi_from_orthonormal(mat) if assume_choi_normalized else mat
     herm = float(np.abs(chi - chi.conj().T).max())
     eigs = np.linalg.eigvalsh((chi + chi.conj().T) / 2)
-    clip = float(-min(eigs.min(), 0.0))
+    clip = float(max(0.0, -eigs.min()))
     tp_resid = float(np.abs(tomography.tp_matrix(chi) - np.eye(3)).max())
     log = {
         "converted_from_choi_normalized": bool(assume_choi_normalized),

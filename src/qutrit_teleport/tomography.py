@@ -179,7 +179,7 @@ def repair_density_matrix(mat):
     herm_resid = float(np.abs(mat - mat.conj().T).max())
     rho = (mat + mat.conj().T) / 2
     w, u = np.linalg.eigh(rho)
-    clip_size = float(-min(w.min(), 0.0))
+    clip_size = float(max(0.0, -w.min()))
     w = np.clip(w, 0.0, None)
     rho = u @ np.diag(w) @ u.conj().T
     tr = np.trace(rho).real

@@ -51,9 +51,22 @@ def _reference_best_slack(target):
     return max([-res.fun] + [_reference_slack(a, d, r) for a in (lo, hi, (lo + hi) / 2)])
 
 
-def _reference_mu(rho, tol=certify.BISECT_TOL):
+def _scanned_best_slack(d, r, n=401, rounds=6):
+    """Max of _reference_slack over a1 in [lo, hi]: a scan zoomed about its argmax."""
+    lo, hi = (r[0] / d[1] if r[0] > 0 else 0.0), d[0]
+    best = -np.inf
+    for _ in range(rounds):
+        a1 = np.linspace(lo, hi, n)
+        slack = [_reference_slack(a, d, r) for a in a1]
+        k = int(np.argmax(slack))
+        best = max(best, slack[k])
+        lo, hi = a1[max(k - 2, 0)], a1[min(k + 2, n - 1)]
+    return best
+
+
+def _reference_mu(rho, tol=1e-6):
     def feasible(mu):
-        return _reference_best_slack(certify._noisy_state(rho, mu)) >= -certify.RESIDUAL_TOL
+        return _reference_best_slack(certify._noisy_state(rho, mu)) >= -1e-9
 
     lo, hi = -1.0, 1.0
     if feasible(lo):
@@ -208,7 +221,7 @@ class TestRobustness:
         d = np.diag(np.exp(1j * np.array(phases)))
         mu1, _ = certify.robustness_mu(rho)
         mu2, _ = certify.robustness_mu(d @ rho @ d.conj().T)
-        assert abs(mu1 - mu2) <= certify.BISECT_TOL
+        assert abs(mu1 - mu2) <= certify.MU_STEP
         assert (mu1 > certify.VERDICT_TOL) == (mu2 > certify.VERDICT_TOL)
 
 
@@ -222,7 +235,7 @@ class TestOracle:
 
     def test_oracle_equivalence_on_random_states(self):
         # the conic reduction and the brute-force grid agree up to grid
-        # resolution around the bisection optimum: the relaxed oracle must
+        # resolution around the reported mu: the relaxed oracle must
         # accept just above mu*, the strict oracle must reject just below
         rng = np.random.default_rng(23)
         eps = 0.02  # grid-resolution margin at n_grid = 200
@@ -246,28 +259,36 @@ class TestClosedFormAllocation:
         for rho in random_states(np.random.default_rng(31), 120):
             assert certify.robustness_mu(rho)[0] == _reference_mu(rho)
 
-    def test_slack_not_below_dense_grid(self):
-        # the closed-form slack is the maximum over the whole a1 interval,
-        # scanned with the module's slack (weights (1 - t, t)) and with the
-        # reference slack in a1 = lo + t*(hi - lo)
+    def test_comparison_matrix_matches_scanned_slack(self):
+        # lambda_min(M) >= 0 exactly when the best reference slack is >= 0,
+        # and that best slack is the Schur complement det M / (d0*d1 - r1)
         rng = np.random.default_rng(32)
-        t_grid = np.linspace(0, 1, 2001)[1:-1]
         n_finite = 0
         for rho in random_states(rng, 200):
             target = certify._noisy_state(rho, rng.uniform(-0.5, 1.0))
-            slack, _ = certify._best_allocation(target)
+            m = certify._comparison_matrix(target)
+            lam = np.linalg.eigvalsh(m)[0]
             d, r = certify._reduction_data(target)
             if d.min() < -1e-12 or (r[0] > 0 and r[0] / d[1] > d[0]):
-                assert slack == -np.inf
+                assert lam < 0
                 continue
-            lo, hi = r[0] / d[1], d[0]
-            scanned = max(
-                max(certify._slack((1 - t, t), d, r), _reference_slack(a1, d, r))
-                for t, a1 in zip(t_grid, lo + t_grid * (hi - lo))
-            )
-            assert slack >= scanned - 1e-12
-            n_finite += np.isfinite(slack)
+            scanned = _scanned_best_slack(d, r)
+            if abs(scanned) > 1e-9:
+                assert (lam >= 0) == (scanned >= 0)
+            if d[0] * d[1] - r[0] > 0:
+                schur = np.linalg.det(m) / (d[0] * d[1] - r[0])
+                assert math.isclose(schur, scanned, rel_tol=1e-12, abs_tol=1e-12)
+                n_finite += 1
         assert n_finite > 100
+
+    def test_exact_values(self):
+        assert certify.robustness_mu(np.eye(3) / 3)[0] == -1.0
+        mub = algebra.mub_family()
+        for psi in mub[:3]:  # the computational basis
+            mu, _ = certify.robustness_mu(algebra.projector(psi))
+            assert mu == 0.0 and math.copysign(1.0, mu) == 1.0
+        for psi in [*mub[3:], certify.max_coherent_state()]:
+            assert certify.robustness_mu(algebra.projector(psi))[0] == 0.5
 
     @pytest.mark.parametrize(
         "pair", [(0, 1), (0, 2), (1, 2), "diagonal"], ids=["r1", "r2", "r3", "diagonal"]
@@ -303,6 +324,25 @@ class TestClosedFormAllocation:
             mu, dec = certify.robustness_mu(rho)
             assert mu == mu_zero
             dec.check(certify._noisy_state(rho, mu), atol=1e-7)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-10, 1e-20])
+    def test_certificate_next_to_an_empty_level(self, scale):
+        # a level populated to scale**2 puts the target on the boundary of the
+        # simulable set, where the allocation at the exact target divides by
+        # a vanishing block diagonal
+        rng = np.random.default_rng(35)
+        with np.errstate(all="raise"):
+            for i in range(100):
+                psi = algebra.random_pure_state(3, rng)
+                psi[i % 3] *= scale
+                rho = algebra.projector(algebra.normalize(psi))
+                if i % 2:
+                    pops = rng.dirichlet(np.ones(3)) * (rng.random(3) < 0.5)
+                    rho = (rho + np.diag(pops)) / (1 + pops.sum())
+                mu, dec = certify.robustness_mu(rho)
+                dec.check(certify._noisy_state(rho, mu), atol=1e-7)
+                if scale == 1e-20:  # coherences of 1e-20 are not genuine
+                    assert mu <= 0.0
 
 
 class TestCertifyState:

@@ -123,6 +123,34 @@ class TestIngest:
         assert np.abs(chi - tomography.noisy_model_chi()).max() < 1e-6
 
 
+def _floats(obj):
+    """Every float in a parsed JSON report."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (dict, list)):
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _floats(v)
+
+
+# JSON values that json.load returns as numbers but that are no matrix entry.
+NON_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "true": True, "false": False}
+
+
+@pytest.fixture(scope="module")
+def non_number_files(tmp_path_factory):
+    """Valid 3x3 and 9x9 matrix files with one entry replaced by a non-number."""
+    out_dir = tmp_path_factory.mktemp("non_numbers")
+    files = {}
+    for shape, mat in (("3x3", np.eye(3) / 3), ("9x9", tomography.noisy_model_chi())):
+        for name, value in NON_NUMBERS.items():
+            doc = dataset.matrix_to_json(mat)
+            doc["entries"][0][1][0] = value
+            path = out_dir / f"{shape}-{name}.json"
+            path.write_text(json.dumps(doc))
+            files[f"{shape}-{name}"] = str(path)
+    return files
+
+
 class TestCli:
     def run(self, argv, capsys):
         code = cli.main(argv)
@@ -198,6 +226,8 @@ class TestCli:
             ["convergence", "--trials", "1"],
             ["certify", "--batch", "--matrix", "/nonexistent/matrix.json"],
             ["certify", "--batch", "--matrix", str(FIXTURES / "identity_mixed.json")],
+            *(["certify", "--matrix", f"3x3-{v}"] for v in NON_NUMBERS),
+            *(["certify", "--batch", "--matrix", f"9x9-{v}"] for v in NON_NUMBERS),
         ],
         ids=[
             "missing-matrix-file",
@@ -214,10 +244,12 @@ class TestCli:
             "convergence-one-trial",
             "batch-missing-matrix-file",
             "batch-density-matrix-file",
+            *(f"{v}-entry" for v in NON_NUMBERS),
+            *(f"batch-{v}-entry" for v in NON_NUMBERS),
         ],
     )
-    def test_boundary_inputs_exit_parse(self, argv, capsys):
-        code = cli.main(argv)
+    def test_boundary_inputs_exit_parse(self, argv, capsys, non_number_files):
+        code = cli.main([non_number_files.get(a, a) for a in argv])
         captured = capsys.readouterr()
         assert code == cli.EXIT_PARSE
         assert captured.out == ""
@@ -237,6 +269,28 @@ class TestCli:
         checks = {c["name"]: c for c in report["results"]["checks"]}
         assert checks["mean_mu_of_genuine"]["value"] is None
         assert not checks["mean_mu_of_genuine"]["ok"]
+
+    def test_no_negative_zero_in_reports(self, capsys, tmp_path):
+        # a repair that clips nothing logs +0.0 (it read -0.0), and mu of a
+        # basis state is +0.0
+        chi_path, basis_path = tmp_path / "chi.json", tmp_path / "basis.json"
+        dataset.save_matrix(tomography.noisy_model_chi(), chi_path)
+        dataset.save_matrix(algebra.projector(algebra.ket(0)), basis_path)
+        runs = [
+            ["tomography"],
+            ["certify"],
+            ["certify", "--matrix", str(basis_path)],
+            ["certify", "--batch", "--grid", "1x1", "--matrix", str(chi_path)],
+        ]
+        reports = []
+        for argv in runs:
+            code, report = self.run(argv, capsys)
+            assert code == 0
+            assert not [v for v in _floats(report) if v == 0 and math.copysign(1.0, v) < 0]
+            reports.append(report["results"])
+        # zeros the check above saw: an unclipped repair, and mu of a basis state
+        assert reports[1]["adjustments"]["eigenvalue_clip"] == 0.0
+        assert reports[2]["mu"] == 0.0
 
     def test_report_rejects_nan(self, capsys):
         with pytest.raises(ValueError):
@@ -314,6 +368,22 @@ class TestCsv:
         assert rows == [["n_states", "value", "error"]] + [
             [str(n), f"{r['converged_value']:.6f}", f"{e:.6f}"]
             for n, e in zip(r["n_states"], r["errors"])
+        ]
+
+    def test_convergence_mean_mu(self, tmp_path):
+        # the one MC path through mu: a strict-JSON report, six CSV rows, and
+        # the same files from a second run with the same seed
+        argv = ["convergence", "--statistic", "mean_mu", "--trials", "2"]
+        runs = [run_with_out(argv, tmp_path / d, "convergence") for d in ("a", "b")]
+        assert runs[0] == runs[1]
+        report, rows = runs[0]
+        json.dumps(report, allow_nan=False)
+        r = report["results"]
+        assert report["config"]["statistic"] == "mean_mu"
+        assert -1.0 <= r["converged_value"] <= 1.0
+        assert rows == [["n_states", "value", "error"]] + [
+            [str(n), f"{r['converged_value']:.6f}", f"{e:.6f}"]
+            for n, e in zip([1, 2, 5, 10, 20, 50], r["errors"], strict=True)
         ]
 
     def test_no_csv_without_out(self, tmp_path, monkeypatch):
