@@ -39,9 +39,9 @@ def normalize(vec):
 
 
 def projector(vec):
-    """|v><v| for a (normalized) state vector."""
+    """|v><v| for a (normalized) state vector, or a stack of them on leading axes."""
     v = np.asarray(vec, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def check_pure_state(vec, dim=None, atol=1e-12):
@@ -54,17 +54,21 @@ def check_pure_state(vec, dim=None, atol=1e-12):
 
 
 def check_density_matrix(rho, dim=None, atol=1e-9):
-    """Validate Hermiticity, positivity and unit trace of a density matrix."""
+    """Validate Hermiticity, positivity and unit trace of a density matrix.
+
+    ``rho`` may be a stack of matrices on leading axes; each must pass.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise DimensionError(f"expected dim {dim}, got {rho.shape[0]}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if dim is not None and rho.shape[-1] != dim:
+        raise DimensionError(f"expected dim {dim}, got {rho.shape[-1]}")
+    adjoint = np.swapaxes(rho.conj(), -1, -2)
+    if np.max(np.abs(rho - adjoint)) > atol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
+    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > atol:
         raise ValueError("density matrix does not have unit trace")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -atol:
+    if np.min(np.linalg.eigvalsh((rho + adjoint) / 2)) < -atol:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

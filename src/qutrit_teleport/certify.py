@@ -12,9 +12,10 @@ kept, each off-diagonal replaced by -|target_jk| -- is PSD (factor width
 two is the H-matrix property: Boman, Chen, Parekh and Toledo, Linear
 Algebra Appl. 405, 239 (2005)). Noise maps M to (1-mu)*M + (mu/3)*I, so
 with lam = lambda_min(M) the robustness is mu* = -3*lam/(1 - 3*lam), or
--1 when lam >= 1/6. mu is reported rounded up onto the grid -1 + j*2**-20.
-The certificate is the closed-form block allocation at the slack's
-stationary point (_decomposition).
+-1 when lam >= 1/6. mu is reported rounded up onto the grid -1 + j*2**-20,
+for one state or a stack of them. The certificate is the closed-form
+block allocation at the slack's stationary point (``certificate``), built
+only on request.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import numpy as np
 
 from . import algebra
 
-VERDICT_TOL = 1e-7
 # mu is reported on the grid -1 + j*MU_STEP, the least point where the
 # noisy state's comparison matrix has no eigenvalue below -EIG_TOL.
 MU_STEP = 2.0**-20
 EIG_TOL = 1e-12
+# A verdict resolves on that grid: mu = MU_STEP holds every state with
+# 0 < mu* <= MU_STEP, so it is borderline, not genuine.
+VERDICT_TOL = MU_STEP
 # The certificate is built for target + CERT_SHIFT*I, which is strictly
 # feasible when the target's comparison matrix has no eigenvalue below
 # -EIG_TOL, so no block diagonal vanishes. It reconstructs the target to
@@ -109,48 +112,46 @@ def _reduction_data(target):
     return d, r
 
 
-def _allocation(d, r, w):
-    """Block diagonals (a1, b1, a2, a3) at the w-weighted mean a1 of lo, hi.
-
-    lo = r1/d1 and hi = d0; b1 = r1/a1, a2 = d0 - a1 and a3 = d1 - b1. a2
-    and a3 are formed from the weights, not as differences, so a coherence
-    many orders below the others cannot round them to zero.
-    """
-    lo = r[0] / d[1] if (r[0] > 0 and d[1] > 0) else 0.0
-    span = (d[0] - lo) / (w[0] + w[1])
-    a1 = lo + w[1] * span
-    if r[0] == 0:
-        return a1, 0.0, w[0] * span, d[1]
-    return a1, r[0] / a1, w[0] * span, d[1] * w[1] * span / a1
-
-
 def _comparison_matrix(target):
-    """The target's diagonal with each off-diagonal replaced by -|target_jk|."""
+    """The diagonal with each off-diagonal replaced by -|target_jk|, over leading axes."""
     m = -np.abs(np.triu(target, 1))
-    m = m + m.T
-    m[np.diag_indices(3)] = np.diag(target).real
+    m = m + np.swapaxes(m, -1, -2)
+    diag = np.arange(3)
+    m[..., diag, diag] = np.diagonal(target, axis1=-2, axis2=-1).real
     return m
 
 
-def _decomposition(target):
-    """Blocks summing to target + CERT_SHIFT*I, at the slack's stationary point.
+def _noisy_state(rho, mu):
+    return mu * np.eye(3, dtype=complex) / 3.0 + (1 - mu) * rho
 
-    With (a1, b1), (a2, b2), (a3, d2 - b2) the block diagonals, the level-2
-    budget d2 must cover r2/(d0 - a1) + r3/(d1 - r1/a1), concave in a1. Its
-    stationary point solves sqrt(r2)*(a1*d1 - r1) = sqrt(r1*r3)*(d0 - a1),
-    so a1* is the mean of lo and hi weighted by sqrt(r2)*d1 and
-    sqrt(r1*r3). With r2 = 0 the slack does not decrease in a1 (take hi);
-    otherwise, with r1*r3 = 0, it does not increase (take lo).
+
+def certificate(rho, mu):
+    """Blocks summing to the noisy state mu*I/3 + (1-mu)*rho, plus CERT_SHIFT*I.
+
+    Valid (``SubspaceDecomposition.check``) for mu at or above
+    ``robustness_mu(rho)``. With d the diagonal, m = (|t01|, |t02|, |t12|)
+    and (a1, b1), (a2, b2), (a3, d2 - b2) the block diagonals, the level-2
+    budget d2 must cover m1**2/(d0 - a1) + m2**2/(d1 - m0**2/a1), concave in
+    a1. Its stationary point is a1 = m0*q/p with p = m1*d1 + m0*m2 and
+    q = m0*m1 + m2*d0, so that b1 = m0*p/q, a2 = m1*D/p and a3 = m2*D/q,
+    where D = d0*d1 - m0**2. Every entry is a product of magnitudes, not of
+    their squares, so a coherence whose square is subnormal keeps its
+    precision, and none is a difference that a coherence many orders below
+    the others could round to zero.
     """
-    d, r = _reduction_data(target + CERT_SHIFT * np.eye(3))
-    if r[1] == 0:
-        w = (0.0, 1.0)
-    elif r[0] == 0 or r[2] == 0:
-        w = (1.0, 0.0)
+    target = _noisy_state(np.asarray(rho, dtype=complex), mu) + CERT_SHIFT * np.eye(3)
+    d = np.diag(target).real
+    m = np.abs(target[(0, 0, 1), (1, 2, 2)])
+    p = m[1] * d[1] + m[0] * m[2]
+    q = m[0] * m[1] + m[2] * d[0]
+    minor = d[0] * d[1] - m[0] * m[0]
+    if m[1] == 0:  # level 0 all in block 01
+        a1, b1, a2, a3 = d[0], m[0] * (m[0] / d[0]), 0.0, minor / d[0]
+    elif q == 0:  # m2 = 0 and m0*m1 = 0: level 1 all in block 01
+        a1, b1, a2, a3 = m[0] * (m[0] / d[1]), d[1], minor / d[1], 0.0
     else:
-        w = (math.sqrt(r[1]) * d[1], math.sqrt(r[0]) * math.sqrt(r[2]))
-    a1, b1, a2, a3 = _allocation(d, r, w)
-    b2 = min(r[1] / a2 if r[1] > 0 else 0.0, d[2])
+        a1, b1, a2, a3 = m[0] * (q / p), m[0] * (p / q), m[1] * (minor / p), m[2] * (minor / q)
+    b2 = min(m[1] * (m[1] / a2) if m[1] > 0 else 0.0, d[2])
     diagonals = ((a1, b1), (a2, b2), (a3, max(d[2] - b2, 0.0)))
     blocks = []
     for (j, k), diag in zip(((0, 1), (0, 2), (1, 2)), diagonals):
@@ -166,31 +167,26 @@ def qubit_mixture_feasibility(rho):
     rho = algebra.check_density_matrix(rho, dim=3)
     if np.linalg.eigvalsh(_comparison_matrix(rho))[0] < -EIG_TOL:
         return None
-    dec = _decomposition(rho)
+    dec = certificate(rho, 0.0)
     dec.check(rho, atol=1e-7)
     return dec
 
 
-def _noisy_state(rho, mu):
-    return mu * np.eye(3, dtype=complex) / 3.0 + (1 - mu) * rho
-
-
 def robustness_mu(rho):
-    """Minimal mu with mu*I/3 + (1-mu)*rho qubit-simulable, and a certificate.
+    """Minimal mu with mu*I/3 + (1-mu)*rho qubit-simulable, over rho's leading axes.
 
     For mu <= 1 the noisy state's comparison matrix is (1-mu)*M + (mu/3)*I,
     so its least eigenvalue is (1-mu)*lam + mu/3 with lam = lambda_min(M).
     mu is the least point of the grid -1 + j*MU_STEP where that is at least
-    -EIG_TOL; it is -1 when lam >= 1/6. Returns (mu, decomposition at mu).
+    -EIG_TOL; it is -1 when lam >= 1/6. Returns a float for one state and
+    an array for a stack; ``certificate(rho, mu)`` gives the decomposition.
     """
     rho = algebra.check_density_matrix(rho, dim=3)
-    lam = float(np.linalg.eigvalsh(_comparison_matrix(rho))[0])
-    steps = 0
-    if lam < 1 / 6:
-        mu_min = -3 * (lam + EIG_TOL) / (1 - 3 * lam)
-        steps = max(math.ceil((mu_min + 1) / MU_STEP), 0)
-    mu = -1.0 + steps * MU_STEP
-    return mu, _decomposition(_noisy_state(rho, mu))
+    # lam >= 1/6 gives mu = -1; clipping it there keeps 1 - 3*lam positive
+    lam = np.minimum(np.linalg.eigvalsh(_comparison_matrix(rho))[..., 0], 1 / 6)
+    mu_min = -3 * (lam + EIG_TOL) / (1 - 3 * lam)
+    mu = -1.0 + np.maximum(np.ceil((mu_min + 1) / MU_STEP), 0.0) * MU_STEP
+    return mu if mu.ndim else float(mu)
 
 
 def oracle_feasible(rho, mu=0.0, n_grid=200, slack_tol=None):
@@ -229,14 +225,14 @@ class CertificationReport:
 
 def certify_state(rho):
     """Run all criteria plus the robustness program on one state."""
-    mu, dec = robustness_mu(rho)
+    mu = robustness_mu(rho)
     genuine = mu > VERDICT_TOL
     return CertificationReport(
         linear_values=linear_criteria(rho),
         nonlinear_lhs=nonlinear_criterion(rho),
         fidelity_witness=fidelity_witness(rho),
         mu=mu,
-        decomposition=None if genuine else dec,
+        decomposition=None if genuine else certificate(rho, mu),
         verdict="genuine_qutrit" if genuine else "qubit_simulable",
     )
 
@@ -261,27 +257,21 @@ def phase_grid_states(n_phi1=20, n_phi2=20, closed_interval=False):
 def batch_certification(channel, grid=(20, 20), closed_interval=False):
     """Certify the phase-grid states after evolution through a channel.
 
-    ``channel`` maps a density matrix to a density matrix (e.g. a
-    process-matrix application). Reports genuine/simulable counts, the
-    mean and std of mu over the genuine states (None when there are
-    none), and borderline states (|mu| below the verdict tolerance)
-    counted separately.
+    ``channel`` maps the grid's (n, 3, 3) stack of density matrices to
+    the stack of their images (e.g. a process-matrix application); mu is
+    found for the whole stack in one call. Reports genuine/simulable
+    counts, the mean and std of mu over the genuine states (None when
+    there are none), and borderline states (|mu| at most the verdict
+    tolerance) counted separately.
     """
-    mus = []
-    n_borderline = 0
-    for _, psi in phase_grid_states(*grid, closed_interval=closed_interval):
-        rho = channel(algebra.projector(psi))
-        mu, _ = robustness_mu(rho)
-        mus.append(mu)
-        if abs(mu) <= VERDICT_TOL:
-            n_borderline += 1
-    mus = np.array(mus)
+    states = phase_grid_states(*grid, closed_interval=closed_interval)
+    mus = robustness_mu(channel(algebra.projector([psi for _, psi in states])))
     genuine = mus > VERDICT_TOL
     return {
         "n_states": len(mus),
         "n_genuine": int(genuine.sum()),
         "n_simulable": int((~genuine).sum()),
-        "n_borderline": n_borderline,
+        "n_borderline": int((np.abs(mus) <= VERDICT_TOL).sum()),
         "mean_mu_of_genuine": float(mus[genuine].mean()) if genuine.any() else None,
         "std_mu_of_genuine": float(mus[genuine].std()) if genuine.any() else None,
         "mus": mus,
@@ -297,6 +287,7 @@ __all__ = [
     "SubspaceDecomposition",
     "qubit_mixture_feasibility",
     "robustness_mu",
+    "certificate",
     "oracle_feasible",
     "CertificationReport",
     "certify_state",

@@ -203,10 +203,8 @@ def cmd_mc_errors(args):
     chi, _ = dataset.reference_chi()
     rng = np.random.default_rng(args.seed)
     inputs = dataset.reference_targets()[:9]
-    tables = []
-    for phi in inputs:
-        rho_out = tomography.apply_process(chi, algebra.projector(phi), repair=True)
-        tables.append(mc.counts_for_state(rho_out, exposure, rng))
+    outs = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
+    tables = [mc.counts_for_state(rho_out, exposure, rng) for rho_out in outs]
 
     def statistic(resampled):
         pairs = [

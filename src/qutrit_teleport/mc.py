@@ -88,18 +88,21 @@ def _fit_channel(chi_true, input_states, rate, rng, estimator="mle"):
     the unconstrained least-squares chi, which is linear in the counts
     and hence unbiased under Poisson noise.
     """
+    outs = tomography.apply_process(chi_true, algebra.projector(input_states), repair=True)
     pairs = []
-    for phi in input_states:
-        rho_out = tomography.apply_process(chi_true, algebra.projector(phi), repair=True)
+    for phi, rho_out in zip(input_states, outs):
         counts = counts_for_state(rho_out, rate, rng)
         pairs.append((phi, tomography.reconstruct_state(counts, estimator)))
     return tomography.reconstruct_process(pairs, physical=(estimator == "mle")).chi
 
 
-# Each convergence statistic scores one probe state phi after the channel.
+# Each convergence statistic scores a stack of probe states after the channel,
+# one value per probe.
 _STATISTICS = {
-    "average_fidelity": lambda rho_out, phi: algebra.fidelity(rho_out, phi),
-    "mean_mu": lambda rho_out, phi: certify.robustness_mu(rho_out)[0],
+    "average_fidelity": lambda outs, probes: [
+        algebra.fidelity(rho_out, phi) for rho_out, phi in zip(outs, probes)
+    ],
+    "mean_mu": lambda outs, probes: certify.robustness_mu(outs),
 }
 
 
@@ -129,17 +132,16 @@ def convergence_study(
     grid = tuple(n_states_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
+    if not grid or min(grid) < 1:
+        raise ValueError("grid needs at least one probe state per point")
     inputs = tomography.canonical_kets()
     values = np.zeros((trials, len(grid)))
     for t, rng in enumerate(trial_rngs(seed, trials)):
         chi_hat = _fit_channel(chi, inputs, rate, rng)
         for g, n in enumerate(grid):
             probes = [algebra.random_pure_state(3, rng) for _ in range(n)]
-            vals = []
-            for phi in probes:
-                rho_out = tomography.apply_process(chi_hat, algebra.projector(phi), repair=True)
-                vals.append(score(rho_out, phi))
-            values[t, g] = np.mean(vals)
+            outs = tomography.apply_process(chi_hat, algebra.projector(probes), repair=True)
+            values[t, g] = np.mean(score(outs, probes))
     errors = values.std(axis=0, ddof=1)
     return StudyResult(
         x_grid=grid, errors=errors, converged_value=float(values[:, -1].mean())

@@ -168,29 +168,32 @@ def reconstruct_state(counts, method="mle"):
 def repair_density_matrix(mat):
     """Symmetrize, clip negative eigenvalues, renormalize the trace.
 
-    Clipping and then rescaling does not give the density matrix nearest
-    to ``mat`` in Frobenius norm: that one lowers every eigenvalue by one
-    common shift, chosen so that the clipped eigenvalues sum to 1 (Smolin,
-    Gambetta and Smith, PRL 108, 070502 (2012)).
+    ``mat`` is one matrix or a stack of them on leading axes, each
+    repaired on its own. Clipping and then rescaling does not give the
+    density matrix nearest to ``mat`` in Frobenius norm: that one lowers
+    every eigenvalue by one common shift, chosen so that the clipped
+    eigenvalues sum to 1 (Smolin, Gambetta and Smith, PRL 108, 070502
+    (2012)).
 
-    Returns (rho, log) where log records the size of each adjustment.
+    Returns (rho, log) where log records the size of each adjustment,
+    the largest over the stack.
     """
     mat = np.asarray(mat, dtype=complex)
-    herm_resid = float(np.abs(mat - mat.conj().T).max())
-    rho = (mat + mat.conj().T) / 2
+    adjoint = np.swapaxes(mat.conj(), -1, -2)
+    herm_resid = float(np.abs(mat - adjoint).max())
+    rho = (mat + adjoint) / 2
     w, u = np.linalg.eigh(rho)
     clip_size = float(max(0.0, -w.min()))
     w = np.clip(w, 0.0, None)
-    rho = u @ np.diag(w) @ u.conj().T
-    tr = np.trace(rho).real
-    trace_adjust = abs(tr - 1.0)
-    if tr <= 0:
+    rho = u @ (w[..., None] * np.eye(w.shape[-1])) @ np.swapaxes(u.conj(), -1, -2)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if (tr <= 0).any():
         raise InsufficientDataError("matrix has non-positive trace after clipping")
-    rho = rho / tr
+    rho = rho / tr[..., None, None]
     log = {
         "hermiticity_residual": herm_resid,
         "eigenvalue_clip": clip_size,
-        "trace_adjustment": float(trace_adjust),
+        "trace_adjustment": float(np.abs(tr - 1.0).max()),
     }
     return rho, log
 
@@ -239,14 +242,24 @@ _PARAM_BASIS.flags.writeable = False
 
 
 def apply_process(chi, rho, repair=False):
-    """rho_out = sum_lk chi_lk sigma_l rho sigma_k (optionally repaired).
+    """rho_out = sum_lk chi_lk sigma_l rho sigma_k, over rho's leading axes.
+
+    chi enters as its 9x9 Liouville matrix L, with vec(rho_out) = L vec(rho)
+    for row-major vec: B^T chi B (B the basis stacked as 9x9 rows) holds
+    sum_lk sigma_l[a, b] chi_lk sigma_k[c, d] at ((a, b), (c, d)), and L is
+    that array with the indices regrouped as ((a, d), (b, c)). Each state
+    is one matrix-vector product, so a stack gives the same bits as its
+    states one by one.
 
     With ``repair`` the output is symmetrized, eigenvalue-clipped and
     trace-renormalized; use it when chi is only approximately physical.
     """
     chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    out = np.einsum("lk,lab,bc,kcd->ad", chi, _BASIS_STACK, rho, _BASIS_STACK)
+    basis = _BASIS_STACK.reshape(_N, _N)
+    product = (basis.T @ chi @ basis).reshape(3, 3, 3, 3)
+    liouville = product.transpose(0, 3, 1, 2).reshape(_N, _N)
+    out = (liouville @ rho.reshape(rho.shape[:-2] + (_N, 1))).reshape(rho.shape)
     if repair:
         out, _ = repair_density_matrix(out)
     return out
@@ -297,12 +310,11 @@ def average_fidelity_from_process(f_process, dim):
 
 def mub_fidelities(chi, repair=False):
     """Fidelities of the twelve MUB states through the channel, plus mean."""
-    fids = []
-    for psi in algebra.mub_family():
-        out = apply_process(chi, algebra.projector(psi), repair=repair)
-        out = (out + out.conj().T) / 2
-        fids.append(algebra.fidelity(out, psi))
-    return np.array(fids), float(np.mean(fids))
+    kets = algebra.mub_family()
+    outs = apply_process(chi, algebra.projector(kets), repair=repair)
+    outs = (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
+    fids = np.array([algebra.fidelity(out, psi) for out, psi in zip(outs, kets)])
+    return fids, float(np.mean(fids))
 
 
 # --- chi reconstruction ---------------------------------------------------
@@ -318,7 +330,7 @@ def _real_rows(outs):
 
 def _design_operator(inputs):
     """Real (18 n, 81) matrix mapping chi parameters to stacked output entries."""
-    rhos = np.array([algebra.projector(phi) for phi in inputs])
+    rhos = algebra.projector(inputs)
     # the per-input superoperator (sigma_l rho_n sigma_k)_ad is passed inline
     # so that it is freed before the real rows are allocated
     outs = np.einsum(
@@ -338,7 +350,7 @@ def _fit_design(inputs):
 @functools.lru_cache(maxsize=4)
 def _cached_fit_design(data, shape):
     kets = np.frombuffer(data, dtype=complex).reshape(shape)
-    proj_stack = np.array([algebra.projector(p).ravel() for p in kets])
+    proj_stack = algebra.projector(kets).reshape(len(kets), -1)
     if np.linalg.matrix_rank(proj_stack, tol=1e-9) < 9:
         raise IllPosedError("input states do not span qutrit operator space")
     A = _design_operator(kets)

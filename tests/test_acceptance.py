@@ -242,7 +242,7 @@ def test_acceptance_08_certification():
     t0 = time.perf_counter()
     # (a) maximally coherent state
     rho_mc = algebra.projector(certify.max_coherent_state())
-    mu_mc, _ = certify.robustness_mu(rho_mc)
+    mu_mc = certify.robustness_mu(rho_mc)
     a_ok = abs(mu_mc - 0.5) < 1e-5 and certify.oracle_feasible(rho_mc, 0.52) and not (
         certify.oracle_feasible(rho_mc, 0.45, slack_tol=0.0)
     )
@@ -276,7 +276,7 @@ def test_acceptance_09_oracle_equivalence():
     disagreements = 0
     for _ in range(100):
         rho = algebra.random_density_matrix(3, rng)
-        mu, _ = certify.robustness_mu(rho)
+        mu = certify.robustness_mu(rho)
         if mu + eps <= 1.0 and not certify.oracle_feasible(rho, mu + eps):
             disagreements += 1
         if mu - eps >= -1.0 and certify.oracle_feasible(rho, mu - eps, slack_tol=0.0):

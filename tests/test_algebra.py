@@ -130,6 +130,13 @@ class TestFidelity:
     def test_orthogonal_states(self):
         assert algebra.fidelity(algebra.projector(algebra.ket(0)), algebra.ket(1)) == 0.0
 
+    def test_projector_stack_equals_outer_products(self):
+        kets = algebra.mub_family()
+        stack = algebra.projector(kets)
+        assert stack.shape == (12, 3, 3)
+        for psi, proj in zip(kets, stack):
+            assert np.array_equal(proj, np.outer(psi, psi.conj()))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             algebra.fidelity(np.eye(3) / 3, np.array([1.0, 0.0]))
@@ -150,6 +157,27 @@ class TestValidation:
         bad[0, 1] = 0.2
         with pytest.raises(ValueError):
             algebra.check_density_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([1.5, -0.5, 0.0]), "negative eigenvalue"),
+            (np.eye(3) / 3 + np.diag([0.0, 0.0, 0.2j]), "not Hermitian"),
+            (np.eye(3) / 2, "unit trace"),
+        ],
+    )
+    def test_check_density_matrix_checks_every_state_of_a_stack(self, bad, message):
+        good = algebra.projector(algebra.mub_family())
+        assert algebra.check_density_matrix(good, dim=3) is not None
+        stack = good.copy().astype(complex)
+        stack[7] = bad
+        with pytest.raises(ValueError, match=message):
+            algebra.check_density_matrix(stack.reshape(3, 4, 3, 3), dim=3)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_check_density_matrix_rejects_non_square(self, shape):
+        with pytest.raises(DimensionError, match="must be square"):
+            algebra.check_density_matrix(np.ones(shape))
 
 
 class TestAuxPairs:

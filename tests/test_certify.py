@@ -170,12 +170,14 @@ class TestFeasibility:
 
 class TestRobustness:
     def test_max_coherent_mu_is_half(self):
-        mu, dec = certify.robustness_mu(max_coherent_rho())
+        mu = certify.robustness_mu(max_coherent_rho())
+        dec = certify.certificate(max_coherent_rho(), mu)
         assert abs(mu - 0.5) < 1e-5
         dec.check(0.5 * np.eye(3) / 3 + 0.5 * max_coherent_rho(), atol=1e-4)
 
     def test_simulable_state_nonpositive_mu(self):
-        mu, dec = certify.robustness_mu(np.eye(3) / 3)
+        mu = certify.robustness_mu(np.eye(3) / 3)
+        dec = certify.certificate(np.eye(3) / 3, mu)
         assert mu <= 0.0
         dec.check(mu * np.eye(3) / 3 + (1 - mu) * np.eye(3) / 3, atol=1e-6)
 
@@ -183,10 +185,10 @@ class TestRobustness:
         rng = np.random.default_rng(21)
         for _ in range(20):
             rho = algebra.random_density_matrix(3, rng)
-            mu, dec = certify.robustness_mu(rho)
+            mu = certify.robustness_mu(rho)
             if mu <= 0:
                 noisy = mu * np.eye(3) / 3 + (1 - mu) * rho
-                dec.check(noisy, atol=1e-5)
+                certify.certificate(rho, mu).check(noisy, atol=1e-5)
 
     def test_hierarchy_on_random_states(self):
         # fidelity witness > 2/3 => nonlinear > 1 => mu > 0, no counterexamples
@@ -199,7 +201,7 @@ class TestRobustness:
                 rho = algebra.projector(psi)
             w = certify.fidelity_witness(rho)
             nl = certify.nonlinear_criterion(rho)
-            mu, _ = certify.robustness_mu(rho)
+            mu = certify.robustness_mu(rho)
             if w > 2 / 3 + 1e-9:
                 assert nl > 1 - 1e-9
             if nl > 1 + 1e-9:
@@ -219,8 +221,8 @@ class TestRobustness:
         else:
             rho = algebra.random_density_matrix(3, rng)
         d = np.diag(np.exp(1j * np.array(phases)))
-        mu1, _ = certify.robustness_mu(rho)
-        mu2, _ = certify.robustness_mu(d @ rho @ d.conj().T)
+        mu1 = certify.robustness_mu(rho)
+        mu2 = certify.robustness_mu(d @ rho @ d.conj().T)
         assert abs(mu1 - mu2) <= certify.MU_STEP
         assert (mu1 > certify.VERDICT_TOL) == (mu2 > certify.VERDICT_TOL)
 
@@ -241,7 +243,7 @@ class TestOracle:
         eps = 0.02  # grid-resolution margin at n_grid = 200
         for _ in range(100):
             rho = algebra.random_density_matrix(3, rng)
-            mu, _ = certify.robustness_mu(rho)
+            mu = certify.robustness_mu(rho)
             if mu + eps <= 1.0:
                 assert certify.oracle_feasible(rho, mu + eps)
             if mu - eps >= -1.0:
@@ -253,11 +255,18 @@ class TestClosedFormAllocation:
         chi, _ = dataset.reference_chi()
         for _, psi in certify.phase_grid_states(20, 20):
             rho = tomography.apply_process(chi, algebra.projector(psi), repair=True)
-            assert certify.robustness_mu(rho)[0] == _reference_mu(rho)
+            assert certify.robustness_mu(rho) == _reference_mu(rho)
 
     def test_mu_matches_numerical_reference_on_random_states(self):
         for rho in random_states(np.random.default_rng(31), 120):
-            assert certify.robustness_mu(rho)[0] == _reference_mu(rho)
+            assert certify.robustness_mu(rho) == _reference_mu(rho)
+
+    def test_stacked_mu_equals_per_state(self):
+        rhos = np.array(random_states(np.random.default_rng(37), 60)).reshape(3, 20, 3, 3)
+        mus = certify.robustness_mu(rhos)
+        assert mus.shape == (3, 20)
+        assert mus.tolist() == [[certify.robustness_mu(r) for r in row] for row in rhos]
+        assert type(certify.robustness_mu(rhos[0, 0])) is float
 
     def test_comparison_matrix_matches_scanned_slack(self):
         # lambda_min(M) >= 0 exactly when the best reference slack is >= 0,
@@ -282,13 +291,13 @@ class TestClosedFormAllocation:
         assert n_finite > 100
 
     def test_exact_values(self):
-        assert certify.robustness_mu(np.eye(3) / 3)[0] == -1.0
+        assert certify.robustness_mu(np.eye(3) / 3) == -1.0
         mub = algebra.mub_family()
         for psi in mub[:3]:  # the computational basis
-            mu, _ = certify.robustness_mu(algebra.projector(psi))
+            mu = certify.robustness_mu(algebra.projector(psi))
             assert mu == 0.0 and math.copysign(1.0, mu) == 1.0
         for psi in [*mub[3:], certify.max_coherent_state()]:
-            assert certify.robustness_mu(algebra.projector(psi))[0] == 0.5
+            assert certify.robustness_mu(algebra.projector(psi)) == 0.5
 
     @pytest.mark.parametrize(
         "pair", [(0, 1), (0, 2), (1, 2), "diagonal"], ids=["r1", "r2", "r3", "diagonal"]
@@ -302,7 +311,8 @@ class TestClosedFormAllocation:
                 rho = with_zero_coherence(rho, pair)
                 j, k = pair
                 assert rho[j, k] == 0
-            mu, dec = certify.robustness_mu(rho)
+            mu = certify.robustness_mu(rho)
+            dec = certify.certificate(rho, mu)
             dec.check(certify._noisy_state(rho, mu), atol=1e-7)
             # grid-resolution margin 0.02, as in TestOracle
             if mu + 0.02 <= 1.0:
@@ -318,20 +328,23 @@ class TestClosedFormAllocation:
         j, k = pair
         for rho in random_states(rng, 10):
             rho = 0.9 * with_zero_coherence(rho, pair) + 0.1 * np.eye(3) / 3
-            mu_zero, _ = certify.robustness_mu(rho)
+            mu_zero = certify.robustness_mu(rho)
             rho[j, k] += 1e-20
             rho[k, j] += 1e-20
-            mu, dec = certify.robustness_mu(rho)
+            mu = certify.robustness_mu(rho)
+            dec = certify.certificate(rho, mu)
             assert mu == mu_zero
             dec.check(certify._noisy_state(rho, mu), atol=1e-7)
 
-    @pytest.mark.parametrize("scale", [1e-5, 1e-10, 1e-20])
+    @pytest.mark.parametrize("scale", [1e-5, 1e-10, 1e-20, 1e-160])
     def test_certificate_next_to_an_empty_level(self, scale):
         # a level populated to scale**2 puts the target on the boundary of the
         # simulable set, where the allocation at the exact target divides by
-        # a vanishing block diagonal
+        # a vanishing block diagonal; at 1e-160 the squared coherences are
+        # subnormal, so only that input's own underflow is let through
         rng = np.random.default_rng(35)
-        with np.errstate(all="raise"):
+        under = "ignore" if scale < 1e-150 else "raise"
+        with np.errstate(all="raise", under=under):
             for i in range(100):
                 psi = algebra.random_pure_state(3, rng)
                 psi[i % 3] *= scale
@@ -339,9 +352,10 @@ class TestClosedFormAllocation:
                 if i % 2:
                     pops = rng.dirichlet(np.ones(3)) * (rng.random(3) < 0.5)
                     rho = (rho + np.diag(pops)) / (1 + pops.sum())
-                mu, dec = certify.robustness_mu(rho)
+                mu = certify.robustness_mu(rho)
+                dec = certify.certificate(rho, mu)
                 dec.check(certify._noisy_state(rho, mu), atol=1e-7)
-                if scale == 1e-20:  # coherences of 1e-20 are not genuine
+                if scale <= 1e-20:  # coherences of 1e-20 are not genuine
                     assert mu <= 0.0
 
 
@@ -356,6 +370,15 @@ class TestCertifyState:
         report = certify.certify_state(np.eye(3) / 3)
         assert report.verdict == "qubit_simulable"
         assert report.decomposition is not None
+
+    def test_verdict_resolves_on_the_mu_grid(self):
+        # a 1e-10 amplitude gives mu* of order 1e-10, which the grid reports as
+        # one MU_STEP: borderline, and certified simulable at that mu
+        rho = algebra.projector(algebra.normalize(np.array([1, 1, 1e-10])))
+        report = certify.certify_state(rho)
+        assert report.mu == certify.MU_STEP
+        assert report.verdict == "qubit_simulable"
+        report.decomposition.check(certify._noisy_state(rho, report.mu), atol=1e-7)
 
 
 class TestPhaseGrid:
@@ -383,6 +406,47 @@ class TestBatchCertification:
         assert summary["n_genuine"] == 400
         assert summary["n_simulable"] == 0
         assert abs(summary["mean_mu_of_genuine"] - 0.5) < 1e-4
+
+    def test_tiny_amplitude_counts_as_borderline(self):
+        damp = np.diag([1, 1, 1e-10])
+
+        def channel(rhos):
+            out = damp @ rhos @ damp
+            return out / np.trace(out, axis1=-2, axis2=-1)[:, None, None].real
+
+        summary = certify.batch_certification(channel, grid=(4, 4))
+        assert (summary["mus"] == certify.MU_STEP).all()
+        assert summary["n_borderline"] == summary["n_simulable"] == 16
+        assert summary["n_genuine"] == 0
+        assert summary["mean_mu_of_genuine"] is None
+
+    def test_mus_equal_per_state_robustness_mu(self):
+        chi, _ = dataset.reference_chi()
+        summary = certify.batch_certification(
+            lambda r: tomography.apply_process(chi, r, repair=True), grid=(20, 20)
+        )
+        per_state = [
+            certify.robustness_mu(
+                tomography.apply_process(chi, algebra.projector(psi), repair=True)
+            )
+            for _, psi in certify.phase_grid_states(20, 20)
+        ]
+        assert summary["mus"].tolist() == per_state
+        assert (summary["n_genuine"], summary["n_borderline"]) == (236, 0)
+
+    def test_certifies_through_module_attribute(self, monkeypatch):
+        # perfbench --trace 1 times the mu layer by wrapping this attribute
+        calls = []
+        original = certify.robustness_mu
+
+        def counting(rho):
+            calls.append(np.shape(rho))
+            return original(rho)
+
+        monkeypatch.setattr(certify, "robustness_mu", counting)
+        summary = certify.batch_certification(lambda r: r, grid=(5, 4))
+        assert calls == [(20, 3, 3)]
+        assert summary["n_genuine"] == 20
 
     def test_depolarizing_channel_none_genuine(self):
         chi = tomography.depolarizing_chi()

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qutrit_teleport import algebra, mc, tomography
+from qutrit_teleport import algebra, certify, mc, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError, SolverError
 
 
@@ -121,6 +121,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             mc.convergence_study(tomography.noisy_model_chi(), n_states_grid=(5, 2))
 
+    @pytest.mark.parametrize("grid", [(0, 1), ()])
+    def test_grid_needs_probe_states(self, grid, no_fit):  # rejected before any fit
+        with pytest.raises(ValueError, match="at least one probe state"):
+            mc.convergence_study(tomography.noisy_model_chi(), n_states_grid=grid, trials=2)
+
     def test_unknown_statistic(self, no_fit):  # rejected before any fit
         with pytest.raises(ValueError, match="unknown statistic 'bogus'"):
             mc.convergence_study(
@@ -136,6 +141,43 @@ class TestConvergenceStudy:
         assert (r1.errors > 0).all()
         # state-sampling noise shrinks with the number of probes
         assert r1.errors[-1] < r1.errors[0]
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        functools.partial(
+            mc.convergence_study, tomography.noisy_model_chi(), statistic="mean_mu",
+            n_states_grid=(1, 3), trials=2, seed=4,
+        ),
+        functools.partial(
+            mc.convergence_study, tomography.noisy_model_chi(),
+            n_states_grid=(2, 5), trials=2, seed=5,
+        ),
+        functools.partial(mc.mub_design_study, trials=2, seed=6),
+        functools.partial(mc.mub_design_study, trials=2, seed=7, estimator="mle"),
+    ],
+    ids=["convergence-mean_mu", "convergence-fidelity", "mub-linear", "mub-mle"],
+)
+def test_stacked_states_match_one_at_a_time(study, monkeypatch):
+    stacked = study()
+    apply_process, robustness_mu = tomography.apply_process, certify.robustness_mu
+
+    def apply_each(chi, rho, repair=False):
+        outs = [apply_process(chi, r, repair) for r in np.reshape(rho, (-1, 3, 3))]
+        return np.reshape(outs, np.shape(rho))
+
+    def mu_each(rho):
+        return np.array([robustness_mu(r) for r in np.reshape(rho, (-1, 3, 3))])
+
+    monkeypatch.setattr(tomography, "apply_process", apply_each)
+    monkeypatch.setattr(certify, "robustness_mu", mu_each)
+    one_at_a_time = study()
+    if isinstance(stacked, dict):
+        assert stacked == one_at_a_time
+    else:
+        assert np.array_equal(stacked.errors, one_at_a_time.errors)
+        assert stacked.converged_value == one_at_a_time.converged_value
 
 
 class TestMubDesignStudy:

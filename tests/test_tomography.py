@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_teleport import algebra, dataset, protocol, tomography
+from qutrit_teleport import algebra, certify, dataset, protocol, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
 
 
@@ -140,6 +140,20 @@ class TestRepair:
         rho, log = tomography.repair_density_matrix(np.eye(3) / 3)
         assert max(log.values()) < 1e-12
 
+    def test_stack_repairs_each_and_logs_the_largest(self):
+        hermiticity = np.eye(3, dtype=complex) / 3
+        hermiticity[0, 1], hermiticity[1, 0] = 0.1j, 0.094j
+        mats = [hermiticity, np.diag([0.7, 0.4, -0.1]), 1.02 * np.eye(3) / 3]
+        rho, log = tomography.repair_density_matrix(np.array(mats).reshape(3, 1, 3, 3))
+        singles = [tomography.repair_density_matrix(m) for m in mats]
+        assert np.array_equal(rho[:, 0], [r for r, _ in singles])
+        assert log == {k: max(lg[k] for _, lg in singles) for k in log}
+
+    def test_stack_rejects_one_non_positive_trace(self):
+        mats = np.array([np.eye(3) / 3, -np.eye(3)])
+        with pytest.raises(InsufficientDataError, match="non-positive trace"):
+            tomography.repair_density_matrix(mats)
+
 
 class TestModelChannels:
     def test_chi_ideal_is_identity_channel(self):
@@ -170,6 +184,45 @@ class TestModelChannels:
         chi00 = tomography.process_fidelity(tomography.noisy_model_chi(0.55))
         assert abs(chi00 - 0.6) < 1e-12
         assert abs(tomography.average_fidelity_from_process(chi00, 3) - 0.7) < 1e-12
+
+
+# Reference oracle for apply_process: the 4-operand einsum over the basis,
+# which the 9x9 Liouville matrix replaces.
+def ref_apply_process(chi, rho):
+    basis = tomography._BASIS_STACK
+    return np.einsum("lk,lab,bc,kcd->ad", chi, basis, rho, basis)
+
+
+class TestLiouvilleApply:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            chi = random_hermitian_chi(rng)
+            rhos = [algebra.random_density_matrix(3, rng) for _ in range(6)]
+            stacked = tomography.apply_process(chi, np.array(rhos).reshape(2, 3, 3, 3))
+            for rho, out in zip(rhos, stacked.reshape(6, 3, 3)):
+                ref = ref_apply_process(chi, rho)
+                assert np.abs(tomography.apply_process(chi, rho) - ref).max() <= 1e-15
+                assert np.abs(out - ref).max() <= 1e-15
+
+    def test_stack_equals_single_states_on_published_grid(self):
+        chi, _ = dataset.reference_chi()
+        kets = [psi for _, psi in certify.phase_grid_states(20, 20)]
+        stacked = tomography.apply_process(chi, algebra.projector(kets), repair=True)
+        for psi, out in zip(kets, stacked):
+            single = tomography.apply_process(chi, algebra.projector(psi), repair=True)
+            assert np.array_equal(out, single)
+
+    def test_mub_fidelities_equal_per_state_loop(self):
+        chi = random_hermitian_chi(np.random.default_rng(20))
+        for repair in (False, True):
+            loop = []
+            for psi in algebra.mub_family():
+                out = tomography.apply_process(chi, algebra.projector(psi), repair=repair)
+                loop.append(algebra.fidelity((out + out.conj().T) / 2, psi))
+            fids, mean = tomography.mub_fidelities(chi, repair=repair)
+            assert fids.tolist() == loop
+            assert mean == float(np.mean(loop))
 
 
 class TestTwoDesignConsistency:
