@@ -26,6 +26,9 @@ EXIT_SOLVER = 3
 EXIT_DATA_QUALITY = 4
 EXIT_CHECK_FAILED = 5
 
+# numpy's Poisson sampler refuses means above about 9.2e18.
+MAX_EXPOSURE = 1e18
+
 
 def _round_floats(obj, digits=6):
     if isinstance(obj, float):
@@ -47,9 +50,7 @@ def emit_report(name, config, results, out_dir=None):
     report = {"pipeline": name, "config": config, "results": _round_floats(results)}
     text = json.dumps(report, indent=2, allow_nan=False)
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(text + "\n")
+        (Path(out_dir) / f"{name}.json").write_text(text + "\n")
     print(text)
     return report
 
@@ -70,10 +71,20 @@ def _trials(args):
 
 
 def _exposure(args):
-    """The counting exposure (or rate); Poisson means need it finite and positive."""
-    if not (np.isfinite(args.exposure) and args.exposure > 0):
-        raise ParseError(f"--exposure must be finite and positive, got {args.exposure}")
+    """The counting exposure (or rate); Poisson means need it positive and bounded."""
+    if not 0 < args.exposure <= MAX_EXPOSURE:
+        raise ParseError(f"--exposure must lie in (0, {MAX_EXPOSURE:g}], got {args.exposure}")
     return args.exposure
+
+
+def _seed(text):
+    """Parses --seed; numpy's generators take only non-negative integers."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def cmd_teleport_sim(args):
@@ -321,7 +332,7 @@ def cmd_full_reproduction(args):
 
 # Each subcommand takes only the options it reads, plus --out.
 _OPTIONS = {
-    "seed": ("--seed", {"type": int, "default": 0}),
+    "seed": ("--seed", {"type": _seed, "default": 0}),
     "trials": ("--trials", {"type": int, "default": 100}),
     "visibility": ("--visibility", {"type": float, "default": 1.0}),
     "exposure": ("--exposure", {"type": float, "default": 150.0}),
@@ -374,6 +385,11 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ParseError(f"--out {args.out}: {e.strerror}") from None
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -44,9 +44,11 @@ class Mode(NamedTuple):
 class FockState:
     """Sparse superposition over photon-number patterns.
 
-    Patterns are stored as sorted tuples of Modes with repetition;
-    amplitudes refer to normalized Fock basis states, so the squared
-    amplitudes of a normalized state sum to 1.
+    Patterns are stored as sorted tuples of Modes with repetition, each
+    with the coefficient of its creation monomial a+...a+|0>. Elements and
+    tensor products then only multiply coefficients; the normalized Fock
+    amplitude is the coefficient times ``_sym_factor``, which is 1 unless
+    a mode holds two or more photons.
     """
 
     def __init__(self, terms=None):
@@ -62,7 +64,7 @@ class FockState:
         return cls({(): 1.0})
 
     def norm_squared(self):
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
+        return float(sum(abs(a * _sym_factor(p)) ** 2 for p, a in self.terms.items()))
 
     def total_photons(self):
         counts = {len(p) for p in self.terms}
@@ -84,36 +86,22 @@ class FockState:
         for p1, a1 in self.terms.items():
             for p2, a2 in other.terms.items():
                 pattern = tuple(sorted(p1 + p2))
-                out[pattern] = out.get(pattern, 0.0) + a1 * a2 * _merge_factor(p1, p2)
+                out[pattern] = out.get(pattern, 0.0) + a1 * a2
         return FockState(out)
 
     def amplitude(self, modes):
         """Amplitude of the normalized Fock state with the given photon modes."""
-        return self.terms.get(tuple(sorted(modes)), 0.0)
+        pattern = tuple(sorted(modes))
+        return self.terms.get(pattern, 0.0) * _sym_factor(pattern)
 
     def __repr__(self):
         parts = [f"{a:+.4f} |{p}>" for p, a in sorted(self.terms.items())]
         return "FockState(" + " ".join(parts) + ")"
 
 
-def _occupations(pattern):
-    occ = {}
-    for m in pattern:
-        occ[m] = occ.get(m, 0) + 1
-    return occ
-
-
 def _sym_factor(pattern):
-    """sqrt(prod n_m!) converting monomial coefficients to Fock amplitudes."""
-    f = 1.0
-    for n in _occupations(pattern).values():
-        f *= math.factorial(n)
-    return math.sqrt(f)
-
-
-def _merge_factor(p1, p2):
-    """Bosonic factor when two normalized patterns are combined by tensoring."""
-    return _sym_factor(p1 + p2) / (_sym_factor(p1) * _sym_factor(p2))
+    """sqrt(prod n_m!) converting a monomial coefficient to a Fock amplitude."""
+    return math.sqrt(math.prod(math.factorial(pattern.count(m)) for m in set(pattern)))
 
 
 def single_photon(components):
@@ -133,9 +121,7 @@ class OpticalElement:
 
     def apply(self, state):
         out = {}
-        for pattern, amp in state.terms.items():
-            # Work with the creation-monomial coefficient.
-            mono = amp / _sym_factor(pattern)
+        for pattern, mono in state.terms.items():
             expansions = []
             for mode in pattern:
                 mapped = self.action(mode)
@@ -147,7 +133,7 @@ class OpticalElement:
                     coeff *= c
                 if abs(coeff) < AMP_CUTOFF:
                     continue
-                out[modes] = out.get(modes, 0.0) + coeff * _sym_factor(modes)
+                out[modes] = out.get(modes, 0.0) + coeff
         return FockState(out)
 
 
@@ -306,10 +292,8 @@ def hybrid_photon(arm, amplitudes, tag_vector=None):
     return single_photon(comps)
 
 
-def initial_state(input_state, channel, visibility=None):
+def _initial_state(input_state, channel, tags):
     """Photons 1, 2, 3 (and trigger) before the measurement circuit."""
-    vis = visibility or VisibilityModel()
-    tags = vis.tag_vectors()
     phi = algebra.check_pure_state(input_state, dim=3)
 
     photon1 = hybrid_photon("p1", phi, tags["p1"])
@@ -327,10 +311,8 @@ def initial_state(input_state, channel, visibility=None):
     return photon1.tensor(chan).tensor(single_photon([(Mode("t", 0, H), 1.0)]))
 
 
-def aux_pair_state(visibility=None):
+def _aux_pair_state(tags):
     """The auxiliary polarization-entangled pair (|HH> + |VV>)/sqrt2 on c, d."""
-    vis = visibility or VisibilityModel()
-    tags = vis.tag_vectors()
     state = FockState()
     for pol in (H, V):
         c = single_photon(
@@ -352,7 +334,7 @@ def _add(a, b):
 
 # --- circuit ----------------------------------------------------------------
 
-# The auxiliary pair (``aux_pair_state``) enters the circuit where this
+# The auxiliary pair (``_aux_pair_state``) enters the circuit where this
 # marker stands among a stage's elements; its wavepacket tags depend on the
 # run's visibility model.
 AUX_PAIR = "AUX_PAIR"
@@ -396,12 +378,12 @@ def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
     """
     if through_stage not in STAGE_NAMES:
         raise ValueError(f"unknown stage {through_stage!r}")
-    vis = visibility or VisibilityModel()
-    state = initial_state(input_state, channel, vis)
+    tags = (visibility or VisibilityModel()).tag_vectors()
+    state = _initial_state(input_state, channel, tags)
     for _, elements, accept in CIRCUIT[: STAGE_NAMES.index(through_stage)]:
         for element in elements:
             if element is AUX_PAIR:
-                state = state.tensor(aux_pair_state(vis))
+                state = state.tensor(_aux_pair_state(tags))
             else:
                 state = element.apply(state)
         if accept is not None:
@@ -428,6 +410,8 @@ def _kraus_set(schmidt_coefficients, default, pairwise):
     vis = VisibilityModel(default, dict(pairwise))
     kraus = {}
     for j, basis in enumerate(np.eye(3)):
+        # After AUX_PBS post-selects, each mode holds at most one photon, so
+        # a final coefficient equals its amplitude.
         for pattern, amp in run_circuit(basis, channel, vis, "HWP1_4").terms.items():
             meas = {m.arm: m for m in pattern if m.arm in measured_arms}
             p3 = [m for m in pattern if m.arm == "p3"]
@@ -535,8 +519,6 @@ __all__ = [
     "STAGE_NAMES",
     "hybrid_photon",
     "single_photon",
-    "initial_state",
-    "aux_pair_state",
     "run_circuit",
     "run_teleportation",
     "visibility_damping_factor",

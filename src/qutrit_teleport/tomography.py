@@ -36,8 +36,6 @@ def canonical_kets():
 
 CANONICAL_KETS = canonical_kets()
 
-SETTING_NAMES = ("0", "1", "2", "0+1", "0+i1", "0+2", "0+i2", "1+2", "1+i2")
-
 
 @dataclass(frozen=True)
 class CountsTable:
@@ -516,7 +514,6 @@ def chi_to_orthonormal(chi):
 
 __all__ = [
     "CANONICAL_KETS",
-    "SETTING_NAMES",
     "canonical_kets",
     "CountsTable",
     "born_probabilities",

@@ -83,6 +83,17 @@ class TestReferenceData:
         tomography.check_process_matrix(chi, tp_tol=1e-6, psd_tol=1e-7)
         assert abs(tomography.process_fidelity(chi) - 0.596) < 0.005
 
+    def test_listed_fidelity_mean_matches_attached_values(self):
+        attached = [
+            dataset.LISTED_STATE_FIDELITIES[pos]
+            for pos in dataset.STATE_FIDELITY_POSITIONS.values()
+        ]
+        assert len(attached) == 10
+        assert abs(np.mean(attached) - dataset.LISTED_STATE_FIDELITY_MEAN) < 5e-4
+
+    def test_listed_certification_counts_cover_the_grid(self):
+        assert dataset.LISTED_N_SIMULABLE + dataset.LISTED_N_GENUINE == 20 * 20
+
     def test_targets_are_benchmark_states(self):
         targets = dataset.reference_targets()
         assert len(targets) == 10
@@ -223,6 +234,12 @@ class TestCli:
             ["mc_errors", "--trials", "2", "--exposure", "inf"],
             ["certify", "--trials", "1", "--exposure", "-3", "--visibility", "7"],
             ["teleport_sim", "--exposure", "0"],
+            ["tomography", "--exposure", "1e300"],
+            ["mub_study", "--trials", "2", "--exposure", "1e300"],
+            ["tomography", "--seed", "-1"],
+            ["mc_errors", "--seed", "-1"],
+            ["mub_study", "--seed", "-1"],
+            ["convergence", "--seed", "-1"],
             ["convergence", "--trials", "1"],
             ["certify", "--batch", "--matrix", "/nonexistent/matrix.json"],
             ["certify", "--batch", "--matrix", str(FIXTURES / "identity_mixed.json")],
@@ -241,6 +258,12 @@ class TestCli:
             "infinite-exposure",
             "certify-foreign-options",
             "teleport-sim-foreign-option",
+            "tomography-huge-exposure",
+            "mub-study-huge-exposure",
+            "tomography-negative-seed",
+            "mc-errors-negative-seed",
+            "mub-study-negative-seed",
+            "convergence-negative-seed",
             "convergence-one-trial",
             "batch-missing-matrix-file",
             "batch-density-matrix-file",
@@ -250,6 +273,21 @@ class TestCli:
     )
     def test_boundary_inputs_exit_parse(self, argv, capsys, non_number_files):
         code = cli.main([non_number_files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_out_not_a_directory_exits_parse(self, sub, capsys, tmp_path, monkeypatch):
+        # rejected before any work: the pipeline's first read would raise
+        def no_work():
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(dataset, "reference_chi", no_work)
+        path = tmp_path / "report.json"
+        path.write_text("")
+        code = cli.main(["process", "--out", str(path / sub)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_PARSE
         assert captured.out == ""

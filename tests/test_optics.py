@@ -85,6 +85,18 @@ class TestFockState:
         two = one.tensor(one)
         assert abs(two.amplitude((m("a", 0, H), m("a", 0, H))) - S2) < 1e-12
 
+    def test_hong_ou_mandel_bunching(self):
+        # H and V photons in one arm through HWP(22.5): (a_H^2 - a_V^2)/2
+        # acting on vacuum, so the two photons always leave together
+        hv = optics.single_photon([(m("a", 0, H), 1.0)]).tensor(
+            optics.single_photon([(m("a", 0, V), 1.0)])
+        )
+        out = HWP(22.5, ("a",)).apply(hv)
+        assert abs(out.amplitude((m("a", 0, H), m("a", 0, H))) - 1 / S2) < 1e-12
+        assert abs(out.amplitude((m("a", 0, V), m("a", 0, V))) + 1 / S2) < 1e-12
+        assert out.amplitude((m("a", 0, H), m("a", 0, V))) == 0.0
+        assert abs(out.norm_squared() - 1.0) < 1e-12
+
     def test_mixed_photon_number_rejected(self):
         bad = FockState({(m("a", 0, H),): 0.5, (m("a", 0, H), m("b", 0, H)): 0.5})
         with pytest.raises(ValueError):
