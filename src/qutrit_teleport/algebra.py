@@ -174,25 +174,6 @@ def bloch_vector(rho):
     return np.array([np.trace(rho @ basis[a]).real for a in range(1, 9)])
 
 
-def density_from_bloch(vec):
-    """Inverse of :func:`bloch_vector`: rho = I/3 + (1/2) sum_a v_a lambda_a."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (8,):
-        raise DimensionError("expected 8 Bloch components")
-    basis = gell_mann_basis()
-    rho = np.eye(3, dtype=complex) / 3.0
-    for a in range(1, 9):
-        rho = rho + 0.5 * vec[a - 1] * basis[a]
-    return rho
-
-
-def aux_pairs_needed(dim):
-    """Number of auxiliary entangled pairs for a d-dimensional Bell measurement."""
-    if dim < 2:
-        raise DimensionError("dimension must be at least 2")
-    return math.ceil(math.log2(dim)) - 1
-
-
 def random_pure_state(dim, rng):
     """Haar-random pure state of the given dimension."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -221,8 +202,6 @@ __all__ = [
     "mub_family",
     "fidelity",
     "bloch_vector",
-    "density_from_bloch",
-    "aux_pairs_needed",
     "random_pure_state",
     "random_density_matrix",
 ]

@@ -37,7 +37,7 @@ VERDICT_TOL = MU_STEP
 # The certificate is built for target + CERT_SHIFT*I, which is strictly
 # feasible when the target's comparison matrix has no eigenvalue below
 # -EIG_TOL, so no block diagonal vanishes. It reconstructs the target to
-# CERT_SHIFT, inside the 1e-7 that qubit_mixture_feasibility checks.
+# CERT_SHIFT, inside SubspaceDecomposition.check's default atol of 1e-7.
 CERT_SHIFT = 1e-10
 
 LINEAR_TRIPLES = (
@@ -162,16 +162,6 @@ def certificate(rho, mu):
     return SubspaceDecomposition(*blocks)
 
 
-def qubit_mixture_feasibility(rho):
-    """A SubspaceDecomposition of rho if one exists, else None."""
-    rho = algebra.check_density_matrix(rho, dim=3)
-    if np.linalg.eigvalsh(_comparison_matrix(rho))[0] < -EIG_TOL:
-        return None
-    dec = certificate(rho, 0.0)
-    dec.check(rho, atol=1e-7)
-    return dec
-
-
 def robustness_mu(rho):
     """Minimal mu with mu*I/3 + (1-mu)*rho qubit-simulable, over rho's leading axes.
 
@@ -285,7 +275,6 @@ __all__ = [
     "nonlinear_criterion",
     "fidelity_witness",
     "SubspaceDecomposition",
-    "qubit_mixture_feasibility",
     "robustness_mu",
     "certificate",
     "oracle_feasible",

@@ -63,35 +63,29 @@ def _write_csv(out_dir, name, header, rows):
             csv.writer(f).writerows([header, *rows])
 
 
-def _trials(args):
-    """The MC trial count; the ensemble std needs at least two."""
-    if args.trials < 2:
-        raise ParseError(f"--trials must be at least 2, got {args.trials}")
-    return args.trials
+def _checked(convert, ok, requirement):
+    """An argparse type: ``convert(text)``, if ``ok`` accepts it."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+
+    return parse
 
 
-def _exposure(args):
-    """The counting exposure (or rate); Poisson means need it positive and bounded."""
-    if not 0 < args.exposure <= MAX_EXPOSURE:
-        raise ParseError(f"--exposure must lie in (0, {MAX_EXPOSURE:g}], got {args.exposure}")
-    return args.exposure
-
-
-def _seed(text):
-    """Parses --seed; numpy's generators take only non-negative integers."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _grid_shape(spec):
+    """The sizes (a, b) of a grid spec such as 20x20."""
+    a, b = (int(n) for n in spec.lower().split("x"))
+    return a, b
 
 
 def cmd_teleport_sim(args):
-    try:
-        vis = optics.VisibilityModel(default=args.visibility)
-    except ValueError as e:
-        raise ParseError(f"--visibility {args.visibility}: {e}") from None
+    vis = optics.VisibilityModel(default=args.visibility)
     rows = []
     for i, phi in enumerate(protocol.benchmark_input_states(), 1):
         rho, prob = optics.run_teleportation(phi, visibility=vis)
@@ -108,13 +102,12 @@ def cmd_teleport_sim(args):
 
 
 def cmd_tomography(args):
-    exposure = _exposure(args)
     rng = np.random.default_rng(args.seed)
     targets = dataset.reference_targets()
     rows = []
     for i in range(1, 11):
         rho, log = dataset.reference_rho(i)
-        counts = tomography.simulate_counts(rho, exposure, rng)
+        counts = tomography.simulate_counts(rho, args.exposure, rng)
         refit = tomography.reconstruct_state(counts, "mle")
         rows.append(
             {
@@ -153,16 +146,6 @@ def cmd_process(args):
     return 0
 
 
-def _parse_grid(spec):
-    try:
-        a, b = (int(n) for n in spec.lower().split("x"))
-    except ValueError:
-        raise ParseError(f"grid must look like 20x20, got {spec!r}") from None
-    if a < 1 or b < 1:
-        raise ParseError(f"grid sizes must be positive, got {spec!r}")
-    return a, b
-
-
 def _certify_grid(chi, grid, closed_interval):
     """Batch-certify the phase grid through ``chi``; returns the summary and its mus."""
     summary = certify.batch_certification(
@@ -184,7 +167,7 @@ def cmd_certify(args):
     else:
         mat, log = dataset.repair_and_log_density(np.eye(3) / 3.0)
     if args.batch:
-        grid = _parse_grid(args.grid)
+        grid = _grid_shape(args.grid)
         summary, mus = _certify_grid(mat, grid, args.closed_interval)
         config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": args.matrix}
         emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
@@ -209,13 +192,11 @@ def cmd_certify(args):
 
 
 def cmd_mc_errors(args):
-    trials = _trials(args)
-    exposure = _exposure(args)
     chi, _ = dataset.reference_chi()
     rng = np.random.default_rng(args.seed)
     inputs = dataset.reference_targets()[:9]
     outs = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
-    tables = [mc.counts_for_state(rho_out, exposure, rng) for rho_out in outs]
+    tables = [mc.counts_for_state(rho_out, args.exposure, rng) for rho_out in outs]
 
     def statistic(resampled):
         pairs = [
@@ -224,7 +205,7 @@ def cmd_mc_errors(args):
         ]
         return tomography.process_fidelity(tomography.reconstruct_process(pairs).chi)
 
-    ens = mc.poisson_resample(tables, statistic, trials, args.seed)
+    ens = mc.poisson_resample(tables, statistic, args.trials, args.seed)
     results = {
         "statistic": "process_fidelity",
         "mean": ens.mean,
@@ -237,7 +218,7 @@ def cmd_mc_errors(args):
 
 
 def cmd_mub_study(args):
-    results = mc.mub_design_study(rate=_exposure(args), trials=_trials(args), seed=args.seed)
+    results = mc.mub_design_study(rate=args.exposure, trials=args.trials, seed=args.seed)
     config = {"seed": args.seed, "trials": args.trials, "rate": args.exposure}
     emit_report("mub_study", config, results, args.out)
     rows = [(d, results[f"mean_{d}"], results[f"err_{d}"]) for d in ("mub", "nonmub")]
@@ -249,8 +230,8 @@ def cmd_convergence(args):
     res = mc.convergence_study(
         tomography.noisy_model_chi(),
         statistic=args.statistic,
-        trials=_trials(args),
-        rate=_exposure(args),
+        trials=args.trials,
+        rate=args.exposure,
         seed=args.seed,
     )
     results = {"n_states": res.x_grid, "errors": res.errors, "converged_value": res.converged_value}
@@ -301,7 +282,7 @@ def cmd_full_reproduction(args):
         0.02,
     )
 
-    summary, _ = _certify_grid(chi_ref, _parse_grid(args.grid), args.closed_interval)
+    summary, _ = _certify_grid(chi_ref, _grid_shape(args.grid), args.closed_interval)
     check("n_genuine", float(summary["n_genuine"]), dataset.LISTED_N_GENUINE, 15)
     check(
         "mean_mu_of_genuine",
@@ -330,13 +311,22 @@ def cmd_full_reproduction(args):
     return 0
 
 
-# Each subcommand takes only the options it reads, plus --out.
+# Each subcommand takes only the options it reads, plus --out. Every value
+# is checked while parsing, before --out is created: numpy's generators take
+# only non-negative seeds, an ensemble std needs two trials, Poisson means
+# need the exposure (or rate) positive and bounded, and the report records
+# the grid's text as given.
+_seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
+_trials = _checked(int, lambda n: n >= 2, "must be an integer of at least 2")
+_visibility = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_exposure = _checked(float, lambda x: 0 < x <= MAX_EXPOSURE, f"must lie in (0, {MAX_EXPOSURE:g}]")
+_grid = _checked(str, lambda s: min(_grid_shape(s)) >= 1, "must look like 20x20, sizes at least 1")
 _OPTIONS = {
     "seed": ("--seed", {"type": _seed, "default": 0}),
-    "trials": ("--trials", {"type": int, "default": 100}),
-    "visibility": ("--visibility", {"type": float, "default": 1.0}),
-    "exposure": ("--exposure", {"type": float, "default": 150.0}),
-    "grid": ("--grid", {"default": "20x20"}),
+    "trials": ("--trials", {"type": _trials, "default": 100}),
+    "visibility": ("--visibility", {"type": _visibility, "default": 1.0}),
+    "exposure": ("--exposure", {"type": _exposure, "default": 150.0}),
+    "grid": ("--grid", {"type": _grid, "default": "20x20"}),
     "closed_interval": ("--closed-interval", {"action": "store_true"}),
     "matrix": ("--matrix", {"default": None, "help": "matrix JSON file (9x9 with --batch)"}),
     "batch": ("--batch", {"action": "store_true"}),

@@ -88,20 +88,21 @@ def _linear_inversion(counts):
 
 
 def _t_to_rho(t):
-    """Lower-triangular Cholesky-like factor (9 reals) -> density matrix."""
-    T = np.array(
-        [
-            [t[0], 0, 0],
-            [t[3] + 1j * t[4], t[1], 0],
-            [t[5] + 1j * t[6], t[7] + 1j * t[8], t[2]],
-        ],
-        dtype=complex,
-    )
-    rho = T.conj().T @ T
-    tr = np.trace(rho).real
-    if tr <= 0:
-        return np.eye(3, dtype=complex) / 3.0
-    return rho / tr
+    """Lower-triangular Cholesky-like factors (n, 9 reals) -> density matrices (n, 3, 3).
+
+    A factor with a zero trace maps to I/3.
+    """
+    t = np.asarray(t, dtype=float)
+    T = np.zeros((len(t), 3, 3), dtype=complex)
+    T[:, 0, 0], T[:, 1, 1], T[:, 2, 2] = t[:, 0], t[:, 1], t[:, 2]
+    T[:, 1, 0] = t[:, 3] + 1j * t[:, 4]
+    T[:, 2, 0] = t[:, 5] + 1j * t[:, 6]
+    T[:, 2, 1] = t[:, 7] + 1j * t[:, 8]
+    rho = np.swapaxes(T.conj(), -1, -2) @ T
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    empty = tr <= 0
+    rho[empty], tr[empty] = np.eye(3) / 3.0, 1.0
+    return rho / tr[:, None, None]
 
 
 def _rho_to_t(rho):
@@ -130,24 +131,51 @@ def _rho_to_t(rho):
     )
 
 
+_KETS = np.array(CANONICAL_KETS)
+_KETS_CONJ = _KETS.conj()
+
+# scipy's default finite-difference step for L-BFGS-B, and the relative step
+# it falls back to where x + h rounds back to x
+_FD_STEP = 1e-8
+_FD_REL_STEP = np.finfo(float).eps ** 0.5
+
+
+def _neg_loglik(t, c):
+    """Poisson negative log-likelihood (n,) of factors t (n, 9) for counts c."""
+    p = np.einsum("ij,njk,ik->ni", _KETS_CONJ, _t_to_rho(t), _KETS).real
+    p = np.clip(p, 1e-12, None)
+    # analytic optimal exposure scale: s = sum(n) / sum(p)
+    lam = (c.sum() / p.sum(axis=-1))[:, None] * p
+    return np.sum(lam - c * np.log(lam), axis=-1)
+
+
 def _mle(counts):
     c = np.asarray(counts.counts, dtype=float)
     if c.sum() == 0:
         raise InsufficientDataError("all counts are zero")
-    kets = np.array(CANONICAL_KETS)
 
-    def neg_loglik(t):
-        rho = _t_to_rho(t)
-        p = np.einsum("ij,jk,ik->i", kets.conj(), rho, kets).real
-        p = np.clip(p, 1e-12, None)
-        # analytic optimal exposure scale: s = sum(n) / sum(p)
-        s = c.sum() / p.sum()
-        lam = s * p
-        return float(np.sum(lam - c * np.log(lam)))
+    def fun_and_grad(x):
+        # scipy's own 2-point forward difference, with x and its nine
+        # perturbed points evaluated as one stack
+        fallback = np.copysign(_FD_REL_STEP * np.maximum(1.0, np.abs(x)), x)
+        stepped = x + np.where((x + _FD_STEP) - x == 0, fallback, _FD_STEP)
+        points = np.tile(x, (10, 1))
+        np.fill_diagonal(points[1:], stepped)
+        f = _neg_loglik(points, c)
+        return f[0], (f[1:] - f[0]) / (stepped - x)
 
     t0 = _rho_to_t(_linear_inversion(counts))
-    res = minimize(neg_loglik, t0, method="L-BFGS-B", options={"ftol": 1e-14, "gtol": 1e-10})
-    return _t_to_rho(res.x)
+    # one call per point, so maxfun 1500 stops where scipy's own difference
+    # (ten evaluations per point) stops against its default of 15000
+    res = minimize(
+        fun_and_grad,
+        t0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"ftol": 1e-14, "gtol": 1e-10, "maxfun": 1500},
+    )
+    # a copy, so that a caller keeping rho does not keep its stack too
+    return _t_to_rho(res.x[None])[0].copy()
 
 
 def reconstruct_state(counts, method="mle"):
@@ -505,13 +533,6 @@ def chi_from_orthonormal(chi_on):
     return 3.0 * chi_on / np.outer(scale, scale)
 
 
-def chi_to_orthonormal(chi):
-    """Inverse of :func:`chi_from_orthonormal`."""
-    chi = np.asarray(chi, dtype=complex)
-    scale = np.array([math.sqrt(3.0)] + [math.sqrt(2.0)] * 8)
-    return chi * np.outer(scale, scale) / 3.0
-
-
 __all__ = [
     "CANONICAL_KETS",
     "canonical_kets",
@@ -535,5 +556,4 @@ __all__ = [
     "project_physical",
     "check_process_matrix",
     "chi_from_orthonormal",
-    "chi_to_orthonormal",
 ]

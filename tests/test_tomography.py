@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from qutrit_teleport import algebra, certify, dataset, protocol, tomography
+from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
 
 
@@ -113,6 +114,145 @@ class TestStateReconstruction:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             tomography.reconstruct_state(self.exact_counts(np.eye(3) / 3), "bayes")
+
+
+def ref_t_to_rho(t):
+    """One Cholesky-like factor (9 reals) -> density matrix, written out."""
+    T = np.array(
+        [
+            [t[0], 0, 0],
+            [t[3] + 1j * t[4], t[1], 0],
+            [t[5] + 1j * t[6], t[7] + 1j * t[8], t[2]],
+        ],
+        dtype=complex,
+    )
+    rho = T.conj().T @ T
+    tr = np.trace(rho).real
+    if tr <= 0:
+        return np.eye(3, dtype=complex) / 3.0
+    return rho / tr
+
+
+def ref_mle(counts):
+    """The state MLE with scipy's own finite-difference gradient: one scalar
+    likelihood call per point and per coordinate. Returns (rho, scipy result)."""
+    c = np.asarray(counts.counts, dtype=float)
+    kets = np.array(tomography.CANONICAL_KETS)
+
+    def neg_loglik(t):
+        rho = ref_t_to_rho(t)
+        p = np.einsum("ij,jk,ik->i", kets.conj(), rho, kets).real
+        p = np.clip(p, 1e-12, None)
+        s = c.sum() / p.sum()
+        lam = s * p
+        return float(np.sum(lam - c * np.log(lam)))
+
+    t0 = tomography._rho_to_t(tomography._linear_inversion(counts))
+    res = minimize(neg_loglik, t0, method="L-BFGS-B", options={"ftol": 1e-14, "gtol": 1e-10})
+    return ref_t_to_rho(res.x), res
+
+
+# perfbench's teleport_tomography points: 10 inputs under three visibility models
+TELEPORT_MODELS = (
+    optics.VisibilityModel(),
+    optics.VisibilityModel(default=0.9),
+    optics.VisibilityModel(default=0.95, pairwise={frozenset(("p1", "p2")): 0.8}),
+)
+
+# L-BFGS-B stops on the rank boundary here: it returns a pure state whose
+# negative log-likelihood is 3.1e-3 above the full-rank maximum's (an
+# mc_errors-style draw: seed 2, trial 7, input 2 at rate 150)
+RANK_BOUNDARY_COUNTS = tomography.CountsTable((1, 4, 28, 4, 12, 30, 36, 39, 31), 51.469)
+
+
+def teleport_tomography_counts(seed=3):
+    inputs = protocol.benchmark_input_states()
+    for k in range(30):
+        rho, _ = optics.run_teleportation(inputs[k % 10], visibility=TELEPORT_MODELS[k // 10])
+        yield tomography.simulate_counts(rho, 150.0, np.random.default_rng([seed, k]))
+
+
+def mc_errors_counts(seed=0, trials=10):
+    """The 90 count tables of an mc_errors run: published chi, rate 150."""
+    chi, _ = dataset.reference_chi()
+    inputs = dataset.reference_targets()[:9]
+    rng = np.random.default_rng(seed)
+    outs = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
+    tables = [mc.counts_for_state(rho, 150.0, rng) for rho in outs]
+    for trial_rng in mc.trial_rngs(seed, trials):
+        for t in tables:
+            counts = trial_rng.poisson(np.array(t.counts, dtype=float))
+            yield tomography.CountsTable(tuple(counts), t.exposure)
+
+
+def random_state_counts(seed=4):
+    """Pure, mixed and near rank-2 states at exposures 2 to 5000."""
+    rng = np.random.default_rng(seed)
+    for exposure in (2.0, 20.0, 150.0, 5000.0):
+        for k in range(12):
+            rho = algebra.random_density_matrix(3, rng, rank=(1, 3, 2)[k % 3])
+            if k % 3 == 2:
+                rho = (1 - 1e-4) * rho + 1e-4 * np.eye(3) / 3
+            counts = tomography.simulate_counts(rho, exposure, rng)
+            if sum(counts.counts[:3]) > 0:
+                yield counts
+
+
+class TestStackedMle:
+    """The stacked likelihood reproduces scipy's finite-difference MLE bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [teleport_tomography_counts, mc_errors_counts, random_state_counts],
+        ids=["teleport-tomography", "mc-errors", "random-states"],
+    )
+    def test_equals_scalar_oracle(self, ensemble):
+        tables = list(ensemble())
+        assert len(tables) >= 30
+        for counts in tables:
+            assert np.array_equal(tomography.reconstruct_state(counts, "mle"), ref_mle(counts)[0])
+
+    def test_rank_boundary_case(self):
+        rho = tomography.reconstruct_state(RANK_BOUNDARY_COUNTS, "mle")
+        # the case's premise: the fit ends on the rank boundary
+        assert np.linalg.eigvalsh(rho)[1] < 1e-9
+        assert np.array_equal(rho, ref_mle(RANK_BOUNDARY_COUNTS)[0])
+
+    def test_relative_step_fallback(self, monkeypatch):
+        # t scaled by 1e9 gives the same rho, but x + 1e-8 rounds back to x,
+        # so scipy steps by sqrt(eps) * |x| instead
+        seed = tomography._rho_to_t
+        monkeypatch.setattr(tomography, "_rho_to_t", lambda rho: 1e9 * seed(rho))
+        for counts in list(random_state_counts())[::6]:
+            assert np.array_equal(tomography._mle(counts), ref_mle(counts)[0])
+
+    def test_one_stacked_call_per_point(self, monkeypatch):
+        shapes = []
+        neg_loglik = tomography._neg_loglik
+
+        def counting(t, c):
+            shapes.append(np.shape(t))
+            return neg_loglik(t, c)
+
+        monkeypatch.setattr(tomography, "_neg_loglik", counting)
+        for counts in list(mc_errors_counts(trials=1)):
+            shapes.clear()
+            tomography.reconstruct_state(counts, "mle")
+            # scipy's difference costs 1 + 9 scalar calls per point
+            assert len(shapes) == ref_mle(counts)[1].nfev // 10
+            assert set(shapes) == {(10, 9)}
+
+    def test_estimate_owns_its_data(self):
+        # a view of the stacked evaluation would keep the stack alive
+        assert tomography.reconstruct_state(RANK_BOUNDARY_COUNTS, "mle").base is None
+
+    def test_stacked_factor_map(self):
+        rng = np.random.default_rng(9)
+        t = rng.normal(size=(6, 9))
+        t[2] = 0.0
+        rhos = tomography._t_to_rho(t)
+        assert all(np.array_equal(rho, ref_t_to_rho(row)) for rho, row in zip(rhos, t))
+        assert np.array_equal(rhos[2], np.eye(3) / 3)
 
 
 class TestRepair:
@@ -573,24 +713,30 @@ class TestDesignCache:
         assert info().currsize == info().maxsize
 
 
+def chi_to_orthonormal(chi):
+    """Inverse of ``tomography.chi_from_orthonormal``: the unit-trace Choi form."""
+    scale = np.array([math.sqrt(3.0)] + [math.sqrt(2.0)] * 8)
+    return np.asarray(chi, dtype=complex) * np.outer(scale, scale) / 3.0
+
+
 class TestBasisConversion:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         chi = random_physical_chi(rng)
-        back = tomography.chi_from_orthonormal(tomography.chi_to_orthonormal(chi))
+        back = tomography.chi_from_orthonormal(chi_to_orthonormal(chi))
         assert np.abs(back - chi).max() < 1e-12
 
     def test_orthonormal_form_has_unit_trace(self):
         chi = tomography.noisy_model_chi()
-        chi_on = tomography.chi_to_orthonormal(chi)
+        chi_on = chi_to_orthonormal(chi)
         assert abs(np.trace(chi_on).real - 1.0) < 1e-12
 
     def test_identity_channel_maps_correctly(self):
         # ideal channel in the orthonormal Choi form: chi'_00 = 1
-        chi_on = tomography.chi_to_orthonormal(tomography.chi_ideal())
-        expected = np.zeros((9, 9))
-        expected[0, 0] = 1.0
-        assert np.abs(chi_on - expected).max() < 1e-12
+        chi_on = np.zeros((9, 9))
+        chi_on[0, 0] = 1.0
+        chi = tomography.chi_from_orthonormal(chi_on)
+        assert np.abs(chi - tomography.chi_ideal()).max() < 1e-12
 
 
 class TestCheckProcessMatrix:
