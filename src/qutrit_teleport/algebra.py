@@ -1,13 +1,15 @@
-"""Operator and state families for qudit algebra.
+"""Operator and state families for qutrit algebra.
 
-Gell-Mann matrices, Weyl (generalized Pauli) operators, d-dimensional
+Gell-Mann matrices, Weyl (generalized Pauli) operators, the nine qutrit
 Bell states, the twelve qutrit MUB vectors, and the Bloch-vector
-utilities the tomography and certification layers are built on.
+utilities the tomography and certification layers are built on. The
+toolkit is qutrit-only: every state and operator here has dimension 3.
 
 Conventions:
-  * ``gell_mann_basis`` index 0 is the unnormalized 3x3 identity, so the
-    ideal teleportation process matrix is exactly ``chi[0,0] = 1``.
-  * Weyl operators follow U_nm = sum_k exp(i 2 pi k n / d) |k><(k+m) mod d|.
+  * ``GELL_MANN[0]`` is the unnormalized 3x3 identity, so the ideal
+    teleportation process matrix is exactly ``chi[0,0] = 1``.
+  * Weyl operators follow U_nm = sum_k exp(i 2 pi k n / 3) |k><(k+m) mod 3|.
+  * The module constants are read-only arrays or tuples.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .errors import DimensionError
 OMEGA = np.exp(2j * np.pi / 3)
 
 
-def ket(index, dim=3):
-    """Computational basis column vector |index> in the given dimension."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
+def ket(index):
+    """Computational basis column vector |index>."""
+    if not 0 <= index < 3:
+        raise DimensionError(f"basis index {index} out of range for dim 3")
+    v = np.zeros(3, dtype=complex)
     v[index] = 1.0
     return v
 
@@ -73,82 +75,80 @@ def check_density_matrix(rho, dim=None, atol=1e-9):
     return rho
 
 
-def gell_mann_basis(dim=3):
-    """The nine-operator basis [I, lambda_1 .. lambda_8] for qutrits.
-
-    Index 0 is the (unnormalized) identity; indices 1-8 are the standard
-    traceless Hermitian Gell-Mann matrices with Tr(l_a l_b) = 2 delta_ab.
-    """
-    if dim != 3:
-        raise DimensionError("Gell-Mann basis is only provided for dim 3")
-    s3 = 1.0 / math.sqrt(3.0)
-    mats = [
-        np.eye(3, dtype=complex),
-        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
-        np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
-        np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
-        np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-        np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
-        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
-        np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-        s3 * np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex),
-    ]
-    return mats
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
-def weyl_operator(n, m, dim=3):
-    """U_nm = sum_k exp(i 2 pi k n / d) |k><(k+m) mod d|."""
-    if not (0 <= n < dim and 0 <= m < dim):
-        raise DimensionError(f"Weyl label ({n},{m}) out of range for dim {dim}")
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        u[k, (k + m) % dim] = np.exp(2j * np.pi * k * n / dim)
+_S3 = 1.0 / math.sqrt(3.0)
+
+# The nine-operator basis [I, lambda_1 .. lambda_8], shape (9, 3, 3). Index 0
+# is the (unnormalized) identity; indices 1-8 are the standard traceless
+# Hermitian Gell-Mann matrices with Tr(l_a l_b) = 2 delta_ab.
+GELL_MANN = _read_only(
+    np.array(
+        [
+            np.eye(3, dtype=complex),
+            np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
+            np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
+            np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
+            np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
+            np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
+            np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
+            np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
+            _S3 * np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex),
+        ]
+    )
+)
+
+
+def weyl_operator(n, m):
+    """U_nm = sum_k exp(i 2 pi k n / 3) |k><(k+m) mod 3|."""
+    if not (0 <= n < 3 and 0 <= m < 3):
+        raise DimensionError(f"Weyl label ({n},{m}) out of range for dim 3")
+    u = np.zeros((3, 3), dtype=complex)
+    for k in range(3):
+        u[k, (k + m) % 3] = np.exp(2j * np.pi * k * n / 3)
     return u
 
 
-def bell_state(n, m, dim=3):
-    """|psi_nm> = (1/sqrt d) sum_j exp(i 2 pi j n / d) |j>|(j+m) mod d>.
+def bell_state(n, m):
+    """|psi_nm> = (1/sqrt 3) sum_j exp(i 2 pi j n / 3) |j>|(j+m) mod 3>.
 
-    Returned as a flat vector of length d**2 indexed by (j, k) -> j*d + k.
+    Returned as a flat vector of length 9 indexed by (j, k) -> j*3 + k.
     """
-    if not (0 <= n < dim and 0 <= m < dim):
-        raise DimensionError(f"Bell label ({n},{m}) out of range for dim {dim}")
-    v = np.zeros(dim * dim, dtype=complex)
-    for j in range(dim):
-        v[j * dim + (j + m) % dim] = np.exp(2j * np.pi * j * n / dim)
-    return v / math.sqrt(dim)
+    if not (0 <= n < 3 and 0 <= m < 3):
+        raise DimensionError(f"Bell label ({n},{m}) out of range for dim 3")
+    v = np.zeros(9, dtype=complex)
+    for j in range(3):
+        v[j * 3 + (j + m) % 3] = np.exp(2j * np.pi * j * n / 3)
+    return v / math.sqrt(3)
 
 
-def bell_labels(dim=3):
-    return [(n, m) for m in range(dim) for n in range(dim)]
+# The nine Bell labels (n, m), n running fastest.
+BELL_LABELS = tuple((n, m) for m in range(3) for n in range(3))
 
-
-def mub_family(dim=3):
-    """The twelve qutrit states forming four mutually unbiased bases.
-
-    Basis 1 is computational; bases 2-4 are phase bases built from
-    omega = exp(i 2 pi / 3). Order matches the conventional listing
-    |psi_1> .. |psi_12>.
-    """
-    if dim != 3:
-        raise DimensionError("the MUB family is only provided for dim 3")
-    w = OMEGA
-    s = 1.0 / math.sqrt(3.0)
-    kets = [
-        ket(0),
-        ket(1),
-        ket(2),
-        s * np.array([1, 1, 1], dtype=complex),
-        s * np.array([1, w, w**2], dtype=complex),
-        s * np.array([1, w**2, w], dtype=complex),
-        s * np.array([w, 1, 1], dtype=complex),
-        s * np.array([1, w, 1], dtype=complex),
-        s * np.array([1, 1, w], dtype=complex),
-        s * np.array([w**2, 1, 1], dtype=complex),
-        s * np.array([1, w**2, 1], dtype=complex),
-        s * np.array([1, 1, w**2], dtype=complex),
-    ]
-    return kets
+# The twelve qutrit states |psi_1> .. |psi_12> forming four mutually unbiased
+# bases, shape (12, 3). Basis 1 is computational; bases 2-4 are phase bases
+# built from omega = exp(i 2 pi / 3).
+MUB_KETS = _read_only(
+    np.array(
+        [
+            ket(0),
+            ket(1),
+            ket(2),
+            _S3 * np.array([1, 1, 1], dtype=complex),
+            _S3 * np.array([1, OMEGA, OMEGA**2], dtype=complex),
+            _S3 * np.array([1, OMEGA**2, OMEGA], dtype=complex),
+            _S3 * np.array([OMEGA, 1, 1], dtype=complex),
+            _S3 * np.array([1, OMEGA, 1], dtype=complex),
+            _S3 * np.array([1, 1, OMEGA], dtype=complex),
+            _S3 * np.array([OMEGA**2, 1, 1], dtype=complex),
+            _S3 * np.array([1, OMEGA**2, 1], dtype=complex),
+            _S3 * np.array([1, 1, OMEGA**2], dtype=complex),
+        ]
+    )
+)
 
 
 def fidelity(rho, target):
@@ -170,22 +170,13 @@ def bloch_vector(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise DimensionError("Bloch vector is defined for 3x3 density matrices")
-    basis = gell_mann_basis()
-    return np.array([np.trace(rho @ basis[a]).real for a in range(1, 9)])
+    return np.array([np.trace(rho @ GELL_MANN[a]).real for a in range(1, 9)])
 
 
-def random_pure_state(dim, rng):
-    """Haar-random pure state of the given dimension."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def random_pure_state(rng):
+    """Haar-random pure qutrit state."""
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
     return normalize(v)
-
-
-def random_density_matrix(dim, rng, rank=None):
-    """Random full(er)-rank density matrix via a Ginibre factor."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 __all__ = [
@@ -195,13 +186,12 @@ __all__ = [
     "projector",
     "check_pure_state",
     "check_density_matrix",
-    "gell_mann_basis",
+    "GELL_MANN",
     "weyl_operator",
     "bell_state",
-    "bell_labels",
-    "mub_family",
+    "BELL_LABELS",
+    "MUB_KETS",
     "fidelity",
     "bloch_vector",
     "random_pure_state",
-    "random_density_matrix",
 ]

@@ -4,8 +4,9 @@ Thin orchestration over the library modules: every number in a report is
 produced by a module operation, and each report embeds the exact config
 used so a run can be reproduced bit-for-bit from its own output.
 
-Exit codes: 0 ok, 2 parse error, 3 solver error, 4 data-quality error,
-5 reference-check failure (``full_reproduction --check``).
+Exit codes: 0 ok, 2 parse error, 3 solver error, 4 data-quality error
+(including counts too sparse to estimate from), 5 reference-check failure
+(``full_reproduction --check``).
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra, certify, dataset, mc, optics, protocol, tomography
-from .errors import DataQualityError, ParseError, SolverError
+from .errors import DataQualityError, InsufficientDataError, ParseError, SolverError
 
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
@@ -30,19 +32,20 @@ EXIT_CHECK_FAILED = 5
 MAX_EXPOSURE = 1e18
 
 
-def _round_floats(obj, digits=6):
+def _round_floats(obj):
+    """``obj`` with every float rounded to 6 decimals, as reports print them."""
     if isinstance(obj, float):
-        return round(obj, digits)
+        return round(obj, 6)
     if isinstance(obj, complex):
-        return [round(obj.real, digits), round(obj.imag, digits)]
+        return [round(obj.real, 6), round(obj.imag, 6)]
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist(), digits)
+        return _round_floats(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return _round_floats(obj.item(), digits)
+        return _round_floats(obj.item())
     return obj
 
 
@@ -76,6 +79,20 @@ def _checked(convert, ok, requirement):
         raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
 
     return parse
+
+
+class _MatrixFile(NamedTuple):
+    """A ``--matrix`` file, read while parsing: its path as given and its matrix."""
+
+    path: str
+    matrix: np.ndarray
+
+
+def _matrix_file(text):
+    try:
+        return _MatrixFile(text, dataset.load_matrix(text))
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _grid_shape(spec):
@@ -139,7 +156,7 @@ def cmd_process(args):
         "mub_fidelities_of_reference": fids,
         "mub_mean": mean_f,
         "average_fidelity_formula": tomography.average_fidelity_from_process(
-            tomography.process_fidelity(chi_ref), 3
+            tomography.process_fidelity(chi_ref)
         ),
     }
     emit_report("process", {}, results, args.out)
@@ -158,10 +175,11 @@ def _certify_grid(chi, grid, closed_interval):
 
 def cmd_certify(args):
     kind, shape = ("process", "9x9") if args.batch else ("density", "3x3")
+    path = args.matrix.path if args.matrix else None
     if args.matrix:
-        mat, got, log = dataset.ingest_matrix(args.matrix)
+        mat, got, log = dataset.repair_matrix(args.matrix.matrix, path)
         if got != kind:
-            raise ParseError(f"{args.matrix}: expected a {shape} {kind} matrix")
+            raise ParseError(f"{path}: expected a {shape} {kind} matrix")
     elif args.batch:
         mat, log = dataset.reference_chi()
     else:
@@ -169,7 +187,7 @@ def cmd_certify(args):
     if args.batch:
         grid = _grid_shape(args.grid)
         summary, mus = _certify_grid(mat, grid, args.closed_interval)
-        config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": args.matrix}
+        config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": path}
         emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
         states = certify.phase_grid_states(*grid, closed_interval=args.closed_interval)
         rows = [
@@ -187,7 +205,7 @@ def cmd_certify(args):
         "verdict": report.verdict,
         "adjustments": log,
     }
-    emit_report("certify", {"matrix": args.matrix}, results, args.out)
+    emit_report("certify", {"matrix": path}, results, args.out)
     return 0
 
 
@@ -206,6 +224,10 @@ def cmd_mc_errors(args):
         return tomography.process_fidelity(tomography.reconstruct_process(pairs).chi)
 
     ens = mc.poisson_resample(tables, statistic, args.trials, args.seed)
+    if len(ens.samples) < 2:
+        raise InsufficientDataError(
+            f"{len(ens.samples)} of {args.trials} trials gave a value; an error bar needs two"
+        )
     results = {
         "statistic": "process_fidelity",
         "mean": ens.mean,
@@ -314,8 +336,8 @@ def cmd_full_reproduction(args):
 # Each subcommand takes only the options it reads, plus --out. Every value
 # is checked while parsing, before --out is created: numpy's generators take
 # only non-negative seeds, an ensemble std needs two trials, Poisson means
-# need the exposure (or rate) positive and bounded, and the report records
-# the grid's text as given.
+# need the exposure (or rate) positive and bounded, the report records the
+# grid's text and the matrix path as given, and a matrix file is read then.
 _seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
 _trials = _checked(int, lambda n: n >= 2, "must be an integer of at least 2")
 _visibility = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
@@ -328,7 +350,10 @@ _OPTIONS = {
     "exposure": ("--exposure", {"type": _exposure, "default": 150.0}),
     "grid": ("--grid", {"type": _grid, "default": "20x20"}),
     "closed_interval": ("--closed-interval", {"action": "store_true"}),
-    "matrix": ("--matrix", {"default": None, "help": "matrix JSON file (9x9 with --batch)"}),
+    "matrix": (
+        "--matrix",
+        {"type": _matrix_file, "default": None, "help": "matrix JSON file (9x9 with --batch)"},
+    ),
     "batch": ("--batch", {"action": "store_true"}),
     "check": ("--check", {"action": "store_true"}),
     "statistic": (
@@ -387,7 +412,7 @@ def main(argv=None):
     except SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except DataQualityError as e:
+    except (DataQualityError, InsufficientDataError) as e:
         print(f"data-quality error: {e}", file=sys.stderr)
         return EXIT_DATA_QUALITY
 

@@ -108,17 +108,17 @@ def load_matrix(path):
     return parse_matrix(doc, source=str(path))
 
 
-def repair_and_log_density(mat, cap=REPAIR_CAP):
+def repair_and_log_density(mat):
     rho, log = tomography.repair_density_matrix(mat)
     worst = max(log.values())
-    if worst > cap:
+    if worst > REPAIR_CAP:
         raise DataQualityError(
-            f"density-matrix repair {worst:.3f} exceeds the cap {cap}"
+            f"density-matrix repair {worst:.3f} exceeds the cap {REPAIR_CAP}"
         )
     return rho, log
 
 
-def repair_and_log_process(mat, cap=REPAIR_CAP, assume_choi_normalized=None):
+def repair_and_log_process(mat, assume_choi_normalized=None):
     """Repair a 9x9 process matrix; returns (chi, adjustment log).
 
     ``assume_choi_normalized`` selects the published convention
@@ -146,25 +146,24 @@ def repair_and_log_process(mat, cap=REPAIR_CAP, assume_choi_normalized=None):
         "tp_residual": tp_resid,
     }
     worst = max(herm, clip, tp_resid)
-    if worst > cap:
-        raise DataQualityError(f"process-matrix repair {worst:.3f} exceeds the cap {cap}")
+    if worst > REPAIR_CAP:
+        raise DataQualityError(f"process-matrix repair {worst:.3f} exceeds the cap {REPAIR_CAP}")
     return tomography.project_physical(chi), log
 
 
-def ingest_matrix(path, cap=REPAIR_CAP):
-    """Load and repair a matrix file; returns (matrix, kind, adjustment log).
+def repair_matrix(mat, source):
+    """Repair a matrix read from ``source``, by its size; returns (matrix, kind, log).
 
-    3x3 files are treated as density matrices, 9x9 files as process
+    3x3 matrices are treated as density matrices, 9x9 as process
     matrices; anything else is rejected.
     """
-    mat = load_matrix(path)
     if mat.shape == (3, 3):
-        rho, log = repair_and_log_density(mat, cap)
+        rho, log = repair_and_log_density(mat)
         return rho, "density", log
     if mat.shape == (9, 9):
-        chi, log = repair_and_log_process(mat, cap)
+        chi, log = repair_and_log_process(mat)
         return chi, "process", log
-    raise ParseError(f"{path}: unsupported dimension {mat.shape[0]}")
+    raise ParseError(f"{source}: unsupported dimension {mat.shape[0]}")
 
 
 def _fixture(name):
@@ -219,7 +218,7 @@ __all__ = [
     "load_matrix",
     "repair_and_log_density",
     "repair_and_log_process",
-    "ingest_matrix",
+    "repair_matrix",
     "reference_rho_raw",
     "reference_rho",
     "reference_chi_raw",

@@ -56,8 +56,7 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     for rng in trial_rngs(seed, n_trials):
         resampled = [
             tomography.CountsTable(
-                tuple(int(c) for c in rng.poisson(np.asarray(t.counts, dtype=float))),
-                t.exposure,
+                tuple(int(c) for c in rng.poisson(np.asarray(t.counts, dtype=float)))
             )
             for t in counts_tables
         ]
@@ -139,7 +138,7 @@ def convergence_study(
     for t, rng in enumerate(trial_rngs(seed, trials)):
         chi_hat = _fit_channel(chi, inputs, rate, rng)
         for g, n in enumerate(grid):
-            probes = [algebra.random_pure_state(3, rng) for _ in range(n)]
+            probes = [algebra.random_pure_state(rng) for _ in range(n)]
             outs = tomography.apply_process(chi_hat, algebra.projector(probes), repair=True)
             values[t, g] = np.mean(score(outs, probes))
     errors = values.std(axis=0, ddof=1)
@@ -163,7 +162,7 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     """
     _check_trials(trials)
     chi_true = tomography.noisy_model_chi()
-    mub_inputs = algebra.mub_family()
+    mub_inputs = algebra.MUB_KETS
     canonical_inputs = tomography.canonical_kets()
     res = {"mub": [], "nonmub": []}
     for rng in trial_rngs(seed, trials):

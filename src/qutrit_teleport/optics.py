@@ -59,27 +59,11 @@ class FockState:
                     key = tuple(sorted(pattern))
                     self.terms[key] = self.terms.get(key, 0.0) + amp
 
-    @classmethod
-    def vacuum(cls):
-        return cls({(): 1.0})
-
     def norm_squared(self):
         return float(sum(abs(a * _sym_factor(p)) ** 2 for p, a in self.terms.items()))
 
-    def total_photons(self):
-        counts = {len(p) for p in self.terms}
-        if len(counts) > 1:
-            raise ValueError(f"mixed photon numbers in one state: {counts}")
-        return counts.pop() if counts else 0
-
     def scaled(self, factor):
         return FockState({p: a * factor for p, a in self.terms.items()})
-
-    def normalized(self):
-        n = math.sqrt(self.norm_squared())
-        if n == 0:
-            raise ValueError("cannot normalize an empty state")
-        return self.scaled(1.0 / n)
 
     def tensor(self, other):
         out = {}

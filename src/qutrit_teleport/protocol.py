@@ -1,8 +1,8 @@
 """Ideal teleportation protocol layer.
 
 Bell decomposition of channel (x) input, per-outcome probabilities and
-conditional states, correction unitaries, and the analytic success
-probabilities of the linear-optical measurement schemes.
+conditional states, the Weyl-operator corrections, and the analytic
+success probabilities of the linear-optical measurement schemes.
 """
 
 from __future__ import annotations
@@ -19,39 +19,33 @@ from .errors import DegenerateOutcomeError, DimensionError
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Pure entangled channel sum_k s_k |kk> given by its Schmidt coefficients."""
+    """Pure entangled channel sum_k s_k |kk> given by its three Schmidt coefficients.
+
+    This is where a channel's dimension is checked: every layer downstream
+    takes the channel to be a qutrit pair.
+    """
 
     schmidt_coefficients: tuple
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.schmidt_coefficients)
+        if len(coeffs) != 3:
+            raise DimensionError(f"expected 3 Schmidt coefficients, got {len(coeffs)}")
         if any(c < 0 for c in coeffs):
             raise ValueError("Schmidt coefficients must be non-negative")
         if abs(sum(c * c for c in coeffs) - 1.0) > 1e-12:
             raise ValueError("Schmidt coefficients must square-sum to 1")
         object.__setattr__(self, "schmidt_coefficients", coeffs)
 
-    @property
-    def dim(self):
-        return len(self.schmidt_coefficients)
-
     @classmethod
-    def maximal(cls, dim=3):
-        s = 1.0 / math.sqrt(dim)
-        return cls(tuple(s for _ in range(dim)))
+    def maximal(cls):
+        s = 1.0 / math.sqrt(3)
+        return cls((s, s, s))
 
     @classmethod
     def rebalanced(cls):
         """The (2|00> + 2|11> + |22>)/3 channel used to triple the success rate."""
         return cls((2 / 3, 2 / 3, 1 / 3))
-
-    def state_vector(self):
-        """The bipartite ket as a flat vector indexed (i, j) -> i*d + j."""
-        d = self.dim
-        v = np.zeros(d * d, dtype=complex)
-        for k, s in enumerate(self.schmidt_coefficients):
-            v[k * d + k] = s
-        return v
 
 
 @dataclass(frozen=True)
@@ -70,31 +64,23 @@ def decompose_input(channel, input_state):
     Returns the nine branches in (n, m) order. Conditional states are
     normalized; branch probabilities sum to 1.
     """
-    d = channel.dim
-    if d != 3:
-        raise DimensionError("the protocol decomposition is implemented for dim 3")
-    phi = algebra.check_pure_state(input_state, dim=d)
+    phi = algebra.check_pure_state(input_state, dim=3)
     s = channel.schmidt_coefficients
 
     # Tripartite amplitudes Psi[i1, i2, i3] = phi[i1] * s_k delta(i2=i3=k).
-    psi = np.zeros((d, d, d), dtype=complex)
-    for i1 in range(d):
-        for k in range(d):
+    psi = np.zeros((3, 3, 3), dtype=complex)
+    for i1 in range(3):
+        for k in range(3):
             psi[i1, k, k] = phi[i1] * s[k]
 
     branches = []
-    for n, m in algebra.bell_labels(d):
-        bell = algebra.bell_state(n, m, d).reshape(d, d)
+    for n, m in algebra.BELL_LABELS:
+        bell = algebra.bell_state(n, m).reshape(3, 3)
         cond = np.einsum("ij,ijk->k", bell.conj(), psi)
         p = float(np.vdot(cond, cond).real)
         state = cond / math.sqrt(p) if p > 0 else cond
         branches.append(OutcomeBranch(n, m, p, state))
     return branches
-
-
-def correction_unitary(n, m, dim=3):
-    """Unitary Bob applies for outcome (n, m); inverts the branch conditional."""
-    return algebra.weyl_operator(n, m, dim)
 
 
 def teleport_ideal(channel, input_state, label):
@@ -104,7 +90,8 @@ def teleport_ideal(channel, input_state, label):
     branch = next(b for b in branches if (b.n, b.m) == (n, m))
     if branch.probability <= 1e-15:
         raise DegenerateOutcomeError(f"branch ({n},{m}) has zero probability")
-    out = correction_unitary(n, m, channel.dim) @ branch.conditional_state
+    # Bob's correction U_nm inverts the branch conditional
+    out = algebra.weyl_operator(n, m) @ branch.conditional_state
     return algebra.normalize(out)
 
 
@@ -149,7 +136,6 @@ __all__ = [
     "ChannelSpec",
     "OutcomeBranch",
     "decompose_input",
-    "correction_unitary",
     "teleport_ideal",
     "success_probability",
     "benchmark_input_states",

@@ -25,6 +25,14 @@ from .errors import IllPosedError, InsufficientDataError, SolverError
 TP_TOL = 1e-6
 PSD_TOL = 1e-9
 
+# Stopping rules of the Dykstra projection and of the FISTA chi fit: the
+# largest entrywise step (and, for the fit, the relative objective change)
+# below the tolerance, or SolverError after the iteration cap.
+DYKSTRA_TOL = 1e-9
+DYKSTRA_MAX_ITER = 20000
+FIT_TOL = 1e-9
+FIT_MAX_ITER = 20000
+
 
 def canonical_kets():
     """The nine tomography projectors, in measurement order.
@@ -39,10 +47,13 @@ CANONICAL_KETS = canonical_kets()
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Nine detection counts plus the exposure (reference count scale)."""
+    """Nine detection counts, in measurement order.
+
+    No estimator needs the exposure: the MLE fits the count scale, and
+    linear inversion normalizes by the basis-projector counts.
+    """
 
     counts: tuple
-    exposure: float
 
     def __post_init__(self):
         counts = tuple(self.counts)
@@ -53,8 +64,6 @@ class CountsTable:
         counts = tuple(int(c) for c in counts)
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative")
-        if self.exposure <= 0:
-            raise ValueError("exposure must be positive")
         object.__setattr__(self, "counts", counts)
 
 
@@ -65,9 +74,11 @@ def born_probabilities(rho):
 
 def simulate_counts(rho, exposure, rng):
     """Poisson counts with mean exposure * <psi_i|rho|psi_i> per setting."""
+    if exposure <= 0:
+        raise ValueError("exposure must be positive")
     probs = np.clip(born_probabilities(rho), 0.0, None)
     counts = rng.poisson(exposure * probs)
-    return CountsTable(tuple(int(c) for c in counts), float(exposure))
+    return CountsTable(tuple(int(c) for c in counts))
 
 
 def _linear_inversion(counts):
@@ -226,8 +237,7 @@ def repair_density_matrix(mat):
 
 # --- process matrices -----------------------------------------------------
 
-_BASIS = algebra.gell_mann_basis()
-_BASIS_STACK = np.array(_BASIS)  # shape (9, 3, 3)
+_BASIS = algebra.GELL_MANN  # shape (9, 3, 3)
 _N = 9
 
 
@@ -282,7 +292,7 @@ def apply_process(chi, rho, repair=False):
     """
     chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    basis = _BASIS_STACK.reshape(_N, _N)
+    basis = _BASIS.reshape(_N, _N)
     product = (basis.T @ chi @ basis).reshape(3, 3, 3, 3)
     liouville = product.transpose(0, 3, 1, 2).reshape(_N, _N)
     out = (liouville @ rho.reshape(rho.shape[:-2] + (_N, 1))).reshape(rho.shape)
@@ -294,7 +304,7 @@ def apply_process(chi, rho, repair=False):
 def tp_matrix(chi):
     """sum_lk chi_lk sigma_k sigma_l, over any leading axes; I iff chi is trace preserving."""
     chi = np.asarray(chi, dtype=complex)
-    return np.einsum("...lk,kab,lbc->...ac", chi, _BASIS_STACK, _BASIS_STACK)
+    return np.einsum("...lk,kab,lbc->...ac", chi, _BASIS, _BASIS)
 
 
 def chi_ideal():
@@ -327,16 +337,14 @@ def process_fidelity(chi):
     return float(np.asarray(chi)[0, 0].real)
 
 
-def average_fidelity_from_process(f_process, dim):
-    """f_ave = (f_process * d + 1) / (d + 1)."""
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    return (f_process * dim + 1) / (dim + 1)
+def average_fidelity_from_process(f_process):
+    """f_ave = (f_process * d + 1) / (d + 1) with d = 3."""
+    return (f_process * 3 + 1) / 4
 
 
 def mub_fidelities(chi, repair=False):
     """Fidelities of the twelve MUB states through the channel, plus mean."""
-    kets = algebra.mub_family()
+    kets = algebra.MUB_KETS
     outs = apply_process(chi, algebra.projector(kets), repair=repair)
     outs = (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
     fids = np.array([algebra.fidelity(out, psi) for out, psi in zip(outs, kets)])
@@ -362,7 +370,7 @@ def _design_operator(inputs):
     outs = np.einsum(
         "plk,nlkad->nadp",
         _PARAM_BASIS,
-        np.einsum("lab,nbc,kcd->nlkad", _BASIS_STACK, rhos, _BASIS_STACK),
+        np.einsum("lab,nbc,kcd->nlkad", _BASIS, rhos, _BASIS),
     )
     return _real_rows(outs)
 
@@ -432,19 +440,19 @@ def project_psd(chi):
     return (u * np.clip(w, 0.0, None)) @ u.conj().T
 
 
-def project_physical(chi, tol=1e-9, max_iter=20000):
+def project_physical(chi):
     """Dykstra alternating projection onto PSD intersect TP."""
     x = np.asarray(chi, dtype=complex)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for _ in range(max_iter):
+    for _ in range(DYKSTRA_MAX_ITER):
         xp = x + p
         y = project_psd(xp)
         p = xp - y
         yq = y + q
         x_new = project_tp(yq)
         q = yq - x_new
-        if np.abs(x_new - x).max() < tol:
+        if np.abs(x_new - x).max() < DYKSTRA_TOL:
             x = x_new
             break
         x = x_new
@@ -460,7 +468,7 @@ class ProcessFit:
     n_iterations: int
 
 
-def reconstruct_process(pairs, tol=1e-9, max_iter=20000, physical=True):
+def reconstruct_process(pairs, physical=True):
     """Least-squares chi under PSD and trace-preservation constraints.
 
     ``pairs`` is a list of (input pure state, output density matrix).
@@ -490,14 +498,14 @@ def reconstruct_process(pairs, tol=1e-9, max_iter=20000, physical=True):
         x = proj(x)
         z, t_mom = x.copy(), 1.0
         prev = np.inf
-        for n_iterations in range(1, max_iter + 1):
+        for n_iterations in range(1, FIT_MAX_ITER + 1):
             x_new = proj(z - step * (gram @ z - atb))
             t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
             z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
             obj = float(np.sum((A @ x_new - b) ** 2))
             moved = np.abs(x_new - x).max()
             x, t_mom = x_new, t_new
-            if moved < tol and abs(prev - obj) < tol * max(1.0, obj):
+            if moved < FIT_TOL and abs(prev - obj) < FIT_TOL * max(1.0, obj):
                 break
             prev = obj
         else:

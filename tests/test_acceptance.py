@@ -31,6 +31,8 @@ import pytest
 from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
 from qutrit_teleport.optics import Mode, H, V
 
+from helpers import random_density_matrix
+
 S2 = math.sqrt(2)
 
 
@@ -39,7 +41,7 @@ def test_acceptance_01_ideal_protocol():
     chan = protocol.ChannelSpec.maximal()
     worst = 0.0
     for phi in protocol.benchmark_input_states():
-        for label in algebra.bell_labels():
+        for label in algebra.BELL_LABELS:
             out = protocol.teleport_ideal(chan, phi, label)
             worst = max(worst, abs(abs(np.vdot(phi, out)) ** 2 - 1.0))
     elapsed = time.perf_counter() - t0
@@ -275,7 +277,7 @@ def test_acceptance_09_oracle_equivalence():
     eps = 0.02
     disagreements = 0
     for _ in range(100):
-        rho = algebra.random_density_matrix(3, rng)
+        rho = random_density_matrix(rng)
         mu = certify.robustness_mu(rho)
         if mu + eps <= 1.0 and not certify.oracle_feasible(rho, mu + eps):
             disagreements += 1

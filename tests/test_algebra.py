@@ -8,34 +8,50 @@ from hypothesis import strategies as st
 from qutrit_teleport import algebra, optics
 from qutrit_teleport.errors import DimensionError
 
+from helpers import random_density_matrix
+
 OMEGA = algebra.OMEGA
 
 
 class TestGellMannBasis:
     def test_index_zero_is_identity(self):
-        basis = algebra.gell_mann_basis()
+        basis = algebra.GELL_MANN
         assert np.array_equal(basis[0], np.eye(3))
 
     def test_traceless_hermitian(self):
-        for lam in algebra.gell_mann_basis()[1:]:
+        for lam in algebra.GELL_MANN[1:]:
             assert abs(np.trace(lam)) < 1e-14
             assert np.abs(lam - lam.conj().T).max() < 1e-14
 
     def test_orthogonality(self):
-        basis = algebra.gell_mann_basis()
+        basis = algebra.GELL_MANN
         for i in range(1, 9):
             for j in range(1, 9):
                 expected = 2.0 if i == j else 0.0
                 assert abs(np.trace(basis[i] @ basis[j]).real - expected) < 1e-12
 
     def test_lambda5_is_standard(self):
-        lam5 = algebra.gell_mann_basis()[5]
+        lam5 = algebra.GELL_MANN[5]
         expected = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]])
         assert np.abs(lam5 - expected).max() == 0.0
 
-    def test_other_dims_rejected(self):
-        with pytest.raises(DimensionError):
-            algebra.gell_mann_basis(4)
+    def test_shape(self):
+        assert algebra.GELL_MANN.shape == (9, 3, 3)
+
+
+class TestReadOnlyConstants:
+    @pytest.mark.parametrize("name", ["GELL_MANN", "MUB_KETS"])
+    def test_array_rejects_writes(self, name):
+        constant = getattr(algebra, name)
+        before = constant.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            constant[1] = 0.0
+        assert np.array_equal(constant, before)
+
+    def test_bell_labels_reject_writes(self):
+        with pytest.raises(TypeError):
+            algebra.BELL_LABELS[0] = (1, 1)
+        assert algebra.BELL_LABELS == tuple((n, m) for m in range(3) for n in range(3))
 
 
 class TestWeylOperators:
@@ -65,7 +81,7 @@ class TestWeylOperators:
 
 class TestBellStates:
     def test_orthonormal(self):
-        states = [algebra.bell_state(n, m) for n, m in algebra.bell_labels()]
+        states = [algebra.bell_state(n, m) for n, m in algebra.BELL_LABELS]
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.abs(gram - np.eye(9)).max() < 1e-12
 
@@ -81,20 +97,20 @@ class TestBellStates:
 
 class TestMubFamily:
     def test_twelve_states_normalized(self):
-        kets = algebra.mub_family()
+        kets = algebra.MUB_KETS
         assert len(kets) == 12
         for k in kets:
             assert abs(np.linalg.norm(k) - 1.0) < 1e-12
 
     def test_four_orthonormal_bases(self):
-        kets = algebra.mub_family()
+        kets = algebra.MUB_KETS
         for b in range(4):
             basis = kets[3 * b : 3 * b + 3]
             gram = np.array([[np.vdot(x, y) for y in basis] for x in basis])
             assert np.abs(gram - np.eye(3)).max() < 1e-12
 
     def test_cross_overlaps_one_third(self):
-        kets = algebra.mub_family()
+        kets = algebra.MUB_KETS
         for b1 in range(4):
             for b2 in range(b1 + 1, 4):
                 for x in kets[3 * b1 : 3 * b1 + 3]:
@@ -104,7 +120,7 @@ class TestMubFamily:
 
 def density_from_bloch(vec):
     """Inverse of ``algebra.bloch_vector``: rho = I/3 + (1/2) sum_a v_a lambda_a."""
-    basis = algebra.gell_mann_basis()
+    basis = algebra.GELL_MANN
     return np.eye(3) / 3.0 + 0.5 * sum(v * lam for v, lam in zip(vec, basis[1:]))
 
 
@@ -119,7 +135,7 @@ class TestBlochVector:
     def test_round_trip_random_density(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             again = density_from_bloch(algebra.bloch_vector(rho))
             assert np.abs(again - rho).max() < 1e-12
 
@@ -130,14 +146,14 @@ class TestBlochVector:
 class TestFidelity:
     def test_pure_state_self_fidelity(self):
         rng = np.random.default_rng(3)
-        psi = algebra.random_pure_state(3, rng)
+        psi = algebra.random_pure_state(rng)
         assert abs(algebra.fidelity(algebra.projector(psi), psi) - 1.0) < 1e-12
 
     def test_orthogonal_states(self):
         assert algebra.fidelity(algebra.projector(algebra.ket(0)), algebra.ket(1)) == 0.0
 
     def test_projector_stack_equals_outer_products(self):
-        kets = algebra.mub_family()
+        kets = algebra.MUB_KETS
         stack = algebra.projector(kets)
         assert stack.shape == (12, 3, 3)
         for psi, proj in zip(kets, stack):
@@ -173,7 +189,7 @@ class TestValidation:
         ],
     )
     def test_check_density_matrix_checks_every_state_of_a_stack(self, bad, message):
-        good = algebra.projector(algebra.mub_family())
+        good = algebra.projector(algebra.MUB_KETS)
         assert algebra.check_density_matrix(good, dim=3) is not None
         stack = good.copy().astype(complex)
         stack[7] = bad
@@ -211,11 +227,11 @@ class TestRandomStates:
     def test_pure_state_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            psi = algebra.random_pure_state(3, rng)
+            psi = algebra.random_pure_state(rng)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_density_matrix_valid(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             algebra.check_density_matrix(rho)

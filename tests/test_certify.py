@@ -8,6 +8,8 @@ from scipy.optimize import minimize_scalar
 
 from qutrit_teleport import algebra, certify, dataset, tomography
 
+from helpers import random_density_matrix
+
 
 def max_coherent_rho():
     return algebra.projector(certify.max_coherent_state())
@@ -83,9 +85,9 @@ def _reference_mu(rho, tol=1e-6):
 def random_states(rng, n):
     """Alternately pure and mixed random qutrit states."""
     return [
-        algebra.random_density_matrix(3, rng)
+        random_density_matrix(rng)
         if i % 2
-        else algebra.projector(algebra.random_pure_state(3, rng))
+        else algebra.projector(algebra.random_pure_state(rng))
         for i in range(n)
     ]
 
@@ -193,7 +195,7 @@ class TestRobustness:
     def test_soundness_of_returned_decomposition(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             mu = certify.robustness_mu(rho)
             if mu <= 0:
                 noisy = mu * np.eye(3) / 3 + (1 - mu) * rho
@@ -204,9 +206,9 @@ class TestRobustness:
         rng = np.random.default_rng(22)
         for _ in range(1000):
             if rng.random() < 0.5:
-                rho = algebra.random_density_matrix(3, rng)
+                rho = random_density_matrix(rng)
             else:
-                psi = algebra.random_pure_state(3, rng)
+                psi = algebra.random_pure_state(rng)
                 rho = algebra.projector(psi)
             w = certify.fidelity_witness(rho)
             nl = certify.nonlinear_criterion(rho)
@@ -226,9 +228,9 @@ class TestRobustness:
         # A diagonal phase unitary D leaves mu and the verdict unchanged.
         rng = np.random.default_rng(seed)
         if pure:
-            rho = algebra.projector(algebra.random_pure_state(3, rng))
+            rho = algebra.projector(algebra.random_pure_state(rng))
         else:
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
         d = np.diag(np.exp(1j * np.array(phases)))
         mu1 = certify.robustness_mu(rho)
         mu2 = certify.robustness_mu(d @ rho @ d.conj().T)
@@ -251,7 +253,7 @@ class TestOracle:
         rng = np.random.default_rng(23)
         eps = 0.02  # grid-resolution margin at n_grid = 200
         for _ in range(100):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             mu = certify.robustness_mu(rho)
             if mu + eps <= 1.0:
                 assert certify.oracle_feasible(rho, mu + eps)
@@ -301,7 +303,7 @@ class TestClosedFormAllocation:
 
     def test_exact_values(self):
         assert certify.robustness_mu(np.eye(3) / 3) == -1.0
-        mub = algebra.mub_family()
+        mub = algebra.MUB_KETS
         for psi in mub[:3]:  # the computational basis
             mu = certify.robustness_mu(algebra.projector(psi))
             assert mu == 0.0 and math.copysign(1.0, mu) == 1.0
@@ -355,7 +357,7 @@ class TestClosedFormAllocation:
         under = "ignore" if scale < 1e-150 else "raise"
         with np.errstate(all="raise", under=under):
             for i in range(100):
-                psi = algebra.random_pure_state(3, rng)
+                psi = algebra.random_pure_state(rng)
                 psi[i % 3] *= scale
                 rho = algebra.projector(algebra.normalize(psi))
                 if i % 2:

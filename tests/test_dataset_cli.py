@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import shlex
@@ -7,11 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_teleport import algebra, cli, dataset, tomography
+from qutrit_teleport import algebra, cli, dataset, mc, tomography
 from qutrit_teleport.errors import DataQualityError, ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "src" / "qutrit_teleport" / "fixtures"
+IDENTITY_MIXED = Path(__file__).resolve().parent / "fixtures" / "identity_mixed.json"
+
+
+def ingest(path):
+    """Load and repair a matrix file, as ``certify --matrix`` does."""
+    return dataset.repair_matrix(dataset.load_matrix(path), str(path))
 
 
 class TestMatrixSchema:
@@ -64,9 +70,7 @@ class TestReferenceData:
             assert max(log.values()) <= dataset.REPAIR_CAP
 
     def test_identity_fixture_needs_no_repairs(self):
-        from qutrit_teleport.dataset import _fixture
-
-        rho, log = dataset.repair_and_log_density(_fixture("identity_mixed.json"))
+        rho, log = dataset.repair_and_log_density(dataset.load_matrix(IDENTITY_MIXED))
         assert max(log.values()) < 1e-9
 
     def test_state_index_range(self):
@@ -103,13 +107,13 @@ class TestIngest:
     def test_density_kind(self, tmp_path):
         path = tmp_path / "rho.json"
         dataset.save_matrix(np.eye(3) / 3, path)
-        mat, kind, log = dataset.ingest_matrix(path)
+        mat, kind, log = ingest(path)
         assert kind == "density"
 
     def test_process_kind(self, tmp_path):
         path = tmp_path / "chi.json"
         dataset.save_matrix(tomography.noisy_model_chi(), path)
-        mat, kind, log = dataset.ingest_matrix(path)
+        mat, kind, log = ingest(path)
         assert kind == "process"
         assert not log["converted_from_choi_normalized"]
 
@@ -117,13 +121,13 @@ class TestIngest:
         path = tmp_path / "m.json"
         dataset.save_matrix(np.eye(4) / 4, path)
         with pytest.raises(ParseError, match="unsupported dimension"):
-            dataset.ingest_matrix(path)
+            ingest(path)
 
     def test_trace_090_data_quality_error(self, tmp_path):
         path = tmp_path / "low_trace.json"
         dataset.save_matrix(0.90 * np.eye(3) / 3, path)
         with pytest.raises(DataQualityError):
-            dataset.ingest_matrix(path)
+            ingest(path)
 
     def test_choi_normalized_process_autodetected(self, tmp_path):
         # the Choi form chi' = chi * (s s^T) / 3, s = (sqrt3, sqrt2, ..., sqrt2)
@@ -131,7 +135,7 @@ class TestIngest:
         chi_on = tomography.noisy_model_chi() * np.outer(scale, scale) / 3.0
         path = tmp_path / "chi_on.json"
         dataset.save_matrix(chi_on, path)
-        chi, kind, log = dataset.ingest_matrix(path)
+        chi, kind, log = ingest(path)
         assert log["converted_from_choi_normalized"]
         assert np.abs(chi - tomography.noisy_model_chi()).max() < 1e-6
 
@@ -161,6 +165,17 @@ def non_number_files(tmp_path_factory):
             path = out_dir / f"{shape}-{name}.json"
             path.write_text(json.dumps(doc))
             files[f"{shape}-{name}"] = str(path)
+    return files
+
+
+@pytest.fixture(scope="module")
+def unrepairable_files(tmp_path_factory):
+    """3x3 matrix files whose trace is not positive once negative eigenvalues are clipped."""
+    out_dir = tmp_path_factory.mktemp("unrepairable")
+    files = {}
+    for name, mat in (("zero", np.zeros((3, 3))), ("negative", np.diag([-1.0, 0.0, 0.0]))):
+        files[name] = str(out_dir / f"{name}.json")
+        dataset.save_matrix(mat, files[name])
     return files
 
 
@@ -244,7 +259,7 @@ class TestCli:
             ["convergence", "--seed", "-1"],
             ["convergence", "--trials", "1"],
             ["certify", "--batch", "--matrix", "/nonexistent/matrix.json"],
-            ["certify", "--batch", "--matrix", str(FIXTURES / "identity_mixed.json")],
+            ["certify", "--batch", "--matrix", str(IDENTITY_MIXED)],
             *(["certify", "--matrix", f"3x3-{v}"] for v in NON_NUMBERS),
             *(["certify", "--batch", "--matrix", f"9x9-{v}"] for v in NON_NUMBERS),
         ],
@@ -280,6 +295,72 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tomography", "--exposure", "0.01"],
+            ["mub_study", "--exposure", "1", "--trials", "2"],
+            ["convergence", "--exposure", "1e-300", "--trials", "2"],
+            ["mc_errors", "--exposure", "0.5", "--trials", "2"],
+            ["certify", "--matrix", "zero"],
+            ["certify", "--matrix", "negative"],
+            ["certify", "--batch", "--matrix", "zero"],
+            ["certify", "--batch", "--matrix", "negative"],
+        ],
+        ids=[
+            "tomography-no-counts",
+            "mub-study-no-basis-counts",
+            "convergence-no-counts",
+            "mc-errors-every-trial-excluded",
+            "zero-matrix",
+            "negative-matrix",
+            "batch-zero-matrix",
+            "batch-negative-matrix",
+        ],
+    )
+    def test_data_errors_exit_data_quality(self, argv, capsys, unrepairable_files):
+        code = cli.main([unrepairable_files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA_QUALITY
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("data-quality error: ")
+
+    def test_mc_errors_needs_two_surviving_trials(self, capsys, monkeypatch):
+        # one trial of two excluded: a single sample gives no error bar
+        resample = mc.poisson_resample
+
+        def drop_first(tables, statistic, n_trials, seed):
+            ens = resample(tables, statistic, n_trials, seed)
+            return dataclasses.replace(ens, samples=ens.samples[1:], n_excluded=1)
+
+        monkeypatch.setattr(mc, "poisson_resample", drop_first)
+        code = cli.main(["mc_errors", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA_QUALITY
+        assert captured.err == (
+            "data-quality error: 1 of 2 trials gave a value; an error bar needs two\n"
+        )
+
+    def test_matrix_read_while_parsing(self, capsys, tmp_path, monkeypatch):
+        # the error names the file as given, and no --out directory is left
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text("{")
+        for path in ("missing.json", "bad.json"):
+            code = cli.main(["certify", "--matrix", path, "--out", "new"])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_PARSE
+            assert captured.err.startswith(f"parse error: argument --matrix: {path}: ")
+            assert len(captured.err.splitlines()) == 1
+            assert not Path("new").exists()
+
+    def test_matrix_path_recorded_as_given(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dataset.save_matrix(np.eye(3) / 3, tmp_path / "rho.json")
+        code, report = self.run(["certify", "--matrix", "./rho.json"], capsys)
+        assert code == 0
+        assert report["config"]["matrix"] == "./rho.json"
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_out_not_a_directory_exits_parse(self, sub, capsys, tmp_path, monkeypatch):
         # rejected before any work: the pipeline's first read would raise
@@ -302,8 +383,9 @@ class TestCli:
             ["tomography", "--exposure", "0"],
             ["teleport_sim", "--visibility", "1.5"],
             ["certify", "--batch", "--grid", "0x3"],
+            ["certify", "--matrix", "/nonexistent/matrix.json"],
         ],
-        ids=["trials", "exposure", "visibility", "grid"],
+        ids=["trials", "exposure", "visibility", "grid", "matrix"],
     )
     def test_bad_value_leaves_no_out_dir(self, argv, capsys, tmp_path):
         out = tmp_path / "new" / "report"
@@ -461,10 +543,14 @@ class TestCsv:
         assert {r[3] for r in rows[1:]} == {"genuine_qutrit"}
 
 
-def test_readme_cli_lines_parse():
+def test_readme_cli_lines_parse(tmp_path, monkeypatch):
     block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```sh")[1].split("```")[0]
     lines = [shlex.split(line, comments=True) for line in block.strip().splitlines()]
     assert {line[1] for line in lines} == {name for name, _, _ in cli._COMMANDS}
+    # --matrix files are read while parsing, so the example files must exist
+    monkeypatch.chdir(tmp_path)
+    dataset.save_matrix(np.eye(3) / 3, "state.json")
+    dataset.save_matrix(tomography.noisy_model_chi(), "chi.json")
     for prog, *argv in lines:
         assert prog == "qutrit-teleport"
         cli.build_parser().parse_args(argv)

@@ -8,6 +8,14 @@ from qutrit_teleport import algebra, protocol
 from qutrit_teleport.errors import DegenerateOutcomeError, DimensionError
 
 
+def channel_state_vector(channel):
+    """The bipartite ket sum_k s_k |kk> as a flat vector indexed (i, j) -> i*3 + j."""
+    v = np.zeros(9, dtype=complex)
+    for k, s in enumerate(channel.schmidt_coefficients):
+        v[k * 3 + k] = s
+    return v
+
+
 class TestChannelSpec:
     def test_maximal(self):
         chan = protocol.ChannelSpec.maximal()
@@ -25,8 +33,14 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             protocol.ChannelSpec((-2 / 3, 2 / 3, 1 / 3))
 
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (0.5, 0.5, 0.5, 0.5)], ids=["two", "four"])
+    def test_rejects_other_lengths(self, coeffs):
+        # normalized and non-negative, so only the length is wrong
+        with pytest.raises(DimensionError, match="3 Schmidt coefficients"):
+            protocol.ChannelSpec(coeffs)
+
     def test_state_vector(self):
-        v = protocol.ChannelSpec.rebalanced().state_vector()
+        v = channel_state_vector(protocol.ChannelSpec.rebalanced())
         assert abs(v[0] - 2 / 3) < 1e-12
         assert abs(v[4] - 2 / 3) < 1e-12
         assert abs(v[8] - 1 / 3) < 1e-12
@@ -38,19 +52,19 @@ class TestDecomposition:
     def test_probabilities_sum_to_one(self, channel):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            phi = algebra.random_pure_state(3, rng)
+            phi = algebra.random_pure_state(rng)
             branches = protocol.decompose_input(channel, phi)
             assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
 
     def test_maximal_channel_uniform_probabilities(self):
         rng = np.random.default_rng(5)
-        phi = algebra.random_pure_state(3, rng)
+        phi = algebra.random_pure_state(rng)
         for b in protocol.decompose_input(protocol.ChannelSpec.maximal(), phi):
             assert abs(b.probability - 1 / 9) < 1e-12
 
     def test_maximal_channel_conditional_is_weyl_inverse(self):
         rng = np.random.default_rng(6)
-        phi = algebra.random_pure_state(3, rng)
+        phi = algebra.random_pure_state(rng)
         for b in protocol.decompose_input(protocol.ChannelSpec.maximal(), phi):
             expected = algebra.weyl_operator(b.n, b.m).conj().T @ phi
             overlap = abs(np.vdot(expected, b.conditional_state))
@@ -60,7 +74,7 @@ class TestDecomposition:
         # p_nm = (1/3) sum_j |phi_j|^2 s_{(j+m) mod 3}^2, independent of n
         chan = protocol.ChannelSpec.rebalanced()
         rng = np.random.default_rng(12)
-        phi = algebra.random_pure_state(3, rng)
+        phi = algebra.random_pure_state(rng)
         s = np.array(chan.schmidt_coefficients)
         for b in protocol.decompose_input(chan, phi):
             expected = sum(abs(phi[j]) ** 2 * s[(j + b.m) % 3] ** 2 for j in range(3)) / 3
@@ -70,7 +84,7 @@ class TestDecomposition:
         # sum_nm sqrt(p) |psi_nm>_12 (x) |cond>_3 reconstructs |phi>_1 (x) |xi>_23
         for chan in (protocol.ChannelSpec.maximal(), protocol.ChannelSpec.rebalanced()):
             rng = np.random.default_rng(13)
-            phi = algebra.random_pure_state(3, rng)
+            phi = algebra.random_pure_state(rng)
             total = np.zeros(27, dtype=complex)
             for b in protocol.decompose_input(chan, phi):
                 bell = algebra.bell_state(b.n, b.m)
@@ -89,16 +103,15 @@ class TestDecomposition:
 
     def test_dim_guard(self):
         with pytest.raises(DimensionError):
-            protocol.decompose_input(
-                protocol.ChannelSpec((1.0, 0.0)), np.array([1.0, 0.0])
-            )
+            channel = protocol.ChannelSpec((1.0, 0.0))
+            protocol.decompose_input(channel, np.array([1.0, 0.0]))
 
 
 class TestTeleportIdeal:
     def test_maximal_channel_all_labels_all_inputs(self):
         chan = protocol.ChannelSpec.maximal()
         for phi in protocol.benchmark_input_states():
-            for label in algebra.bell_labels():
+            for label in algebra.BELL_LABELS:
                 out = protocol.teleport_ideal(chan, phi, label)
                 assert abs(abs(np.vdot(phi, out)) - 1.0) < 1e-12
 

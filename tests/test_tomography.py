@@ -9,6 +9,8 @@ from scipy.optimize import minimize
 from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError
 
+from helpers import random_density_matrix
+
 
 def random_physical_chi(rng):
     """Random Hermitian PSD trace-preserving process matrix."""
@@ -32,7 +34,7 @@ class TestProjectors:
 
     def test_born_probabilities_basis_triple(self):
         rng = np.random.default_rng(0)
-        rho = algebra.random_density_matrix(3, rng)
+        rho = random_density_matrix(rng)
         p = tomography.born_probabilities(rho)
         assert abs(p[:3].sum() - 1.0) < 1e-9
 
@@ -40,18 +42,21 @@ class TestProjectors:
 class TestCountsTable:
     def test_validation(self):
         with pytest.raises(ValueError):
-            tomography.CountsTable((1,) * 8, 10.0)
+            tomography.CountsTable((1,) * 8)
         with pytest.raises(ValueError):
-            tomography.CountsTable((-1,) + (1,) * 8, 10.0)
+            tomography.CountsTable((-1,) + (1,) * 8)
         with pytest.raises(ValueError):
-            tomography.CountsTable((1,) * 9, 0.0)
+            tomography.CountsTable((1.7,) * 9)
         with pytest.raises(ValueError):
-            tomography.CountsTable((1.7,) * 9, 10.0)
-        with pytest.raises(ValueError):
-            tomography.CountsTable((-0.5,) + (1,) * 8, 10.0)
+            tomography.CountsTable((-0.5,) + (1,) * 8)
+
+    @pytest.mark.parametrize("exposure", [0.0, -1.0])
+    def test_simulate_rejects_non_positive_exposure(self, exposure):
+        with pytest.raises(ValueError, match="exposure must be positive"):
+            tomography.simulate_counts(np.eye(3) / 3, exposure, np.random.default_rng(0))
 
     def test_integral_floats_accepted(self):
-        table = tomography.CountsTable((3.0,) + (1,) * 8, 10.0)
+        table = tomography.CountsTable((3.0,) + (1,) * 8)
         assert table.counts == (3,) + (1,) * 8
         assert all(type(c) is int for c in table.counts)
 
@@ -65,26 +70,26 @@ class TestCountsTable:
 class TestStateReconstruction:
     def exact_counts(self, rho, n=10**7):
         p = tomography.born_probabilities(rho)
-        return tomography.CountsTable(tuple(int(round(n * q)) for q in p), float(n))
+        return tomography.CountsTable(tuple(int(round(n * q)) for q in p))
 
     def test_linear_inversion_recovers_exact_data(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             est = tomography.reconstruct_state(self.exact_counts(rho), "linear")
             assert np.abs(est - rho).max() < 1e-5
 
     def test_mle_recovers_exact_data(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             est = tomography.reconstruct_state(self.exact_counts(rho), "mle")
             assert np.abs(est - rho).max() < 1e-4
 
     def test_mle_always_physical(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             counts = tomography.simulate_counts(rho, 30.0, rng)
             est = tomography.reconstruct_state(counts, "mle")
             assert np.abs(est - est.conj().T).max() < 1e-10
@@ -105,7 +110,7 @@ class TestStateReconstruction:
         assert found
 
     def test_zero_counts_rejected(self):
-        counts = tomography.CountsTable((0,) * 9, 10.0)
+        counts = tomography.CountsTable((0,) * 9)
         with pytest.raises(InsufficientDataError):
             tomography.reconstruct_state(counts, "mle")
         with pytest.raises(InsufficientDataError):
@@ -162,7 +167,7 @@ TELEPORT_MODELS = (
 # L-BFGS-B stops on the rank boundary here: it returns a pure state whose
 # negative log-likelihood is 3.1e-3 above the full-rank maximum's (an
 # mc_errors-style draw: seed 2, trial 7, input 2 at rate 150)
-RANK_BOUNDARY_COUNTS = tomography.CountsTable((1, 4, 28, 4, 12, 30, 36, 39, 31), 51.469)
+RANK_BOUNDARY_COUNTS = tomography.CountsTable((1, 4, 28, 4, 12, 30, 36, 39, 31))
 
 
 def teleport_tomography_counts(seed=3):
@@ -182,7 +187,7 @@ def mc_errors_counts(seed=0, trials=10):
     for trial_rng in mc.trial_rngs(seed, trials):
         for t in tables:
             counts = trial_rng.poisson(np.array(t.counts, dtype=float))
-            yield tomography.CountsTable(tuple(counts), t.exposure)
+            yield tomography.CountsTable(tuple(counts))
 
 
 def random_state_counts(seed=4):
@@ -190,7 +195,7 @@ def random_state_counts(seed=4):
     rng = np.random.default_rng(seed)
     for exposure in (2.0, 20.0, 150.0, 5000.0):
         for k in range(12):
-            rho = algebra.random_density_matrix(3, rng, rank=(1, 3, 2)[k % 3])
+            rho = random_density_matrix(rng, rank=(1, 3, 2)[k % 3])
             if k % 3 == 2:
                 rho = (1 - 1e-4) * rho + 1e-4 * np.eye(3) / 3
             counts = tomography.simulate_counts(rho, exposure, rng)
@@ -298,7 +303,7 @@ class TestRepair:
 class TestModelChannels:
     def test_chi_ideal_is_identity_channel(self):
         rng = np.random.default_rng(4)
-        rho = algebra.random_density_matrix(3, rng)
+        rho = random_density_matrix(rng)
         out = tomography.apply_process(tomography.chi_ideal(), rho)
         assert np.abs(out - rho).max() < 1e-12
         assert tomography.process_fidelity(tomography.chi_ideal()) == 1.0
@@ -306,7 +311,7 @@ class TestModelChannels:
     def test_depolarizing_chi_maps_to_maximally_mixed(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            rho = algebra.random_density_matrix(3, rng)
+            rho = random_density_matrix(rng)
             out = tomography.apply_process(tomography.depolarizing_chi(), rho)
             assert np.abs(out - np.eye(3) / 3).max() < 1e-12
 
@@ -323,13 +328,13 @@ class TestModelChannels:
     def test_average_fidelity_formula(self):
         chi00 = tomography.process_fidelity(tomography.noisy_model_chi(0.55))
         assert abs(chi00 - 0.6) < 1e-12
-        assert abs(tomography.average_fidelity_from_process(chi00, 3) - 0.7) < 1e-12
+        assert abs(tomography.average_fidelity_from_process(chi00) - 0.7) < 1e-12
 
 
 # Reference oracle for apply_process: the 4-operand einsum over the basis,
 # which the 9x9 Liouville matrix replaces.
 def ref_apply_process(chi, rho):
-    basis = tomography._BASIS_STACK
+    basis = tomography._BASIS
     return np.einsum("lk,lab,bc,kcd->ad", chi, basis, rho, basis)
 
 
@@ -338,7 +343,7 @@ class TestLiouvilleApply:
         rng = np.random.default_rng(19)
         for _ in range(50):
             chi = random_hermitian_chi(rng)
-            rhos = [algebra.random_density_matrix(3, rng) for _ in range(6)]
+            rhos = [random_density_matrix(rng) for _ in range(6)]
             stacked = tomography.apply_process(chi, np.array(rhos).reshape(2, 3, 3, 3))
             for rho, out in zip(rhos, stacked.reshape(6, 3, 3)):
                 ref = ref_apply_process(chi, rho)
@@ -357,7 +362,7 @@ class TestLiouvilleApply:
         chi = random_hermitian_chi(np.random.default_rng(20))
         for repair in (False, True):
             loop = []
-            for psi in algebra.mub_family():
+            for psi in algebra.MUB_KETS:
                 out = tomography.apply_process(chi, algebra.projector(psi), repair=repair)
                 loop.append(algebra.fidelity((out + out.conj().T) / 2, psi))
             fids, mean = tomography.mub_fidelities(chi, repair=repair)
@@ -368,13 +373,11 @@ class TestLiouvilleApply:
 class TestTwoDesignConsistency:
     def test_average_fidelity_matches_haar_monte_carlo(self):
         chi = tomography.noisy_model_chi(0.55)
-        f_formula = tomography.average_fidelity_from_process(
-            tomography.process_fidelity(chi), 3
-        )
+        f_formula = tomography.average_fidelity_from_process(tomography.process_fidelity(chi))
         rng = np.random.default_rng(9)
         vals = []
         for _ in range(10_000):
-            psi = algebra.random_pure_state(3, rng)
+            psi = algebra.random_pure_state(rng)
             out = tomography.apply_process(chi, algebra.projector(psi))
             vals.append(algebra.fidelity((out + out.conj().T) / 2, psi))
         assert abs(np.mean(vals) - f_formula) < 0.005
@@ -452,7 +455,7 @@ class TestProcessReconstruction:
         pairs = [(phi, channel(algebra.projector(phi))) for phi in tomography.canonical_kets()]
         chi = tomography.reconstruct_process(pairs).chi
         tomography.check_process_matrix(chi)
-        rho = algebra.random_density_matrix(3, rng)
+        rho = random_density_matrix(rng)
         assert np.abs(tomography.apply_process(chi, rho) - channel(rho)).max() < 1e-9
 
     def test_unconstrained_fit_is_exact_interpolant(self):
@@ -464,7 +467,7 @@ class TestProcessReconstruction:
 
     def test_mub_inputs_also_well_posed(self):
         chi = tomography.noisy_model_chi()
-        fit = tomography.reconstruct_process(self.make_pairs(chi, algebra.mub_family()))
+        fit = tomography.reconstruct_process(self.make_pairs(chi, algebra.MUB_KETS))
         assert np.abs(fit.chi - chi).max() < 1e-6
 
     def test_rank_deficient_inputs_rejected(self):
@@ -573,7 +576,7 @@ class TestParameterMaps:
 
     @pytest.mark.parametrize("family", ["mub", "canonical"])
     def test_design_operator_matches_probes(self, family):
-        inputs = algebra.mub_family() if family == "mub" else tomography.canonical_kets()
+        inputs = algebra.MUB_KETS if family == "mub" else tomography.canonical_kets()
         A = tomography._design_operator(inputs)
         assert A.shape == (18 * len(inputs), 81)
         assert np.abs(A - probed_design_operator(inputs)).max() < 1e-12
@@ -682,7 +685,7 @@ class TestProjectionOracle:
 
 class TestDesignCache:
     def random_kets(self, rng, n=9):
-        return [algebra.random_pure_state(3, rng) for _ in range(n)]
+        return [algebra.random_pure_state(rng) for _ in range(n)]
 
     def test_equal_input_set_hits(self):
         info = tomography._cached_fit_design.cache_info
