@@ -50,6 +50,8 @@ def check_pure_state(vec, dim=None, atol=1e-12):
     vec = np.asarray(vec, dtype=complex)
     if dim is not None and vec.shape != (dim,):
         raise DimensionError(f"expected a length-{dim} vector, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("state vector has non-finite entries")
     if abs(np.linalg.norm(vec) - 1.0) > atol:
         raise ValueError("state vector is not normalized")
     return vec
@@ -65,6 +67,8 @@ def check_density_matrix(rho, dim=None, atol=1e-9):
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
     if dim is not None and rho.shape[-1] != dim:
         raise DimensionError(f"expected dim {dim}, got {rho.shape[-1]}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     adjoint = np.swapaxes(rho.conj(), -1, -2)
     if np.max(np.abs(rho - adjoint)) > atol:
         raise ValueError("density matrix is not Hermitian")

@@ -203,45 +203,48 @@ def oracle_feasible(rho, mu=0.0, n_grid=200, slack_tol=None):
     return bool(ok.any())
 
 
+def verdict(mu):
+    """The verdict rule: "genuine_qutrit" where mu > VERDICT_TOL, else "qubit_simulable".
+
+    One mu gives a str, a stack an array of them.
+    """
+    v = np.where(np.asarray(mu) > VERDICT_TOL, "genuine_qutrit", "qubit_simulable")
+    return v if v.ndim else str(v)
+
+
 @dataclass(frozen=True)
 class CertificationReport:
     linear_values: np.ndarray
     nonlinear_lhs: float
     fidelity_witness: float
     mu: float
-    decomposition: SubspaceDecomposition | None
     verdict: str
 
 
 def certify_state(rho):
-    """Run all criteria plus the robustness program on one state."""
+    """Run all criteria plus the robustness program on one state.
+
+    ``certificate(rho, report.mu)`` builds a simulable state's decomposition.
+    """
     mu = robustness_mu(rho)
-    genuine = mu > VERDICT_TOL
     return CertificationReport(
         linear_values=linear_criteria(rho),
         nonlinear_lhs=nonlinear_criterion(rho),
         fidelity_witness=fidelity_witness(rho),
         mu=mu,
-        decomposition=None if genuine else certificate(rho, mu),
-        verdict="genuine_qutrit" if genuine else "qubit_simulable",
+        verdict=verdict(mu),
     )
 
 
 def phase_grid_states(n_phi1=20, n_phi2=20, closed_interval=False):
-    """Maximally coherent states over the (phi1, phi2) phase grid."""
-    end = math.pi
-    phis1 = np.linspace(0, end, n_phi1, endpoint=closed_interval)
-    phis2 = np.linspace(0, end, n_phi2, endpoint=closed_interval)
-    out = []
-    for p1 in phis1:
-        for p2 in phis2:
-            out.append(
-                (
-                    (p1, p2),
-                    np.array([1, np.exp(1j * p1), np.exp(1j * p2)]) / math.sqrt(3),
-                )
-            )
-    return out
+    """Maximally coherent states over the (phi1, phi2) phase grid, as ((phi1, phi2), ket)."""
+    phis1 = np.linspace(0, math.pi, n_phi1, endpoint=closed_interval)
+    phis2 = np.linspace(0, math.pi, n_phi2, endpoint=closed_interval)
+    return [
+        ((p1, p2), np.array([1, np.exp(1j * p1), np.exp(1j * p2)]) / math.sqrt(3))
+        for p1 in phis1
+        for p2 in phis2
+    ]
 
 
 def batch_certification(channel, grid=(20, 20), closed_interval=False):
@@ -252,11 +255,12 @@ def batch_certification(channel, grid=(20, 20), closed_interval=False):
     found for the whole stack in one call. Reports genuine/simulable
     counts, the mean and std of mu over the genuine states (None when
     there are none), and borderline states (|mu| at most the verdict
-    tolerance) counted separately.
+    tolerance) counted separately; ``phases`` and ``mus`` hold each
+    state's (phi1, phi2) and mu.
     """
     states = phase_grid_states(*grid, closed_interval=closed_interval)
     mus = robustness_mu(channel(algebra.projector([psi for _, psi in states])))
-    genuine = mus > VERDICT_TOL
+    genuine = verdict(mus) == "genuine_qutrit"
     return {
         "n_states": len(mus),
         "n_genuine": int(genuine.sum()),
@@ -264,6 +268,7 @@ def batch_certification(channel, grid=(20, 20), closed_interval=False):
         "n_borderline": int((np.abs(mus) <= VERDICT_TOL).sum()),
         "mean_mu_of_genuine": float(mus[genuine].mean()) if genuine.any() else None,
         "std_mu_of_genuine": float(mus[genuine].std()) if genuine.any() else None,
+        "phases": [p for p, _ in states],
         "mus": mus,
     }
 
@@ -278,6 +283,7 @@ __all__ = [
     "robustness_mu",
     "certificate",
     "oracle_feasible",
+    "verdict",
     "CertificationReport",
     "certify_state",
     "phase_grid_states",

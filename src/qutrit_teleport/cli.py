@@ -118,19 +118,28 @@ def cmd_teleport_sim(args):
     return 0
 
 
+def _published_states():
+    """The repaired published rho_1 .. rho_10, each as (rho, repair log, target), read once."""
+    targets = dataset.reference_targets()
+    return [(*dataset.reference_rho(i), phi) for i, phi in enumerate(targets, 1)]
+
+
+def _refit(states):
+    """The constrained chi fit to the first nine published states."""
+    return tomography.reconstruct_process([(phi, rho) for rho, _, phi in states[:9]])
+
+
 def cmd_tomography(args):
     rng = np.random.default_rng(args.seed)
-    targets = dataset.reference_targets()
     rows = []
-    for i in range(1, 11):
-        rho, log = dataset.reference_rho(i)
+    for i, (rho, log, phi) in enumerate(_published_states(), 1):
         counts = tomography.simulate_counts(rho, args.exposure, rng)
         refit = tomography.reconstruct_state(counts, "mle")
         rows.append(
             {
                 "state": i,
-                "fidelity_vs_target": algebra.fidelity(rho, targets[i - 1]),
-                "refit_fidelity_vs_target": algebra.fidelity(refit, targets[i - 1]),
+                "fidelity_vs_target": algebra.fidelity(rho, phi),
+                "refit_fidelity_vs_target": algebra.fidelity(refit, phi),
                 "adjustments": log,
             }
         )
@@ -141,36 +150,31 @@ def cmd_tomography(args):
 
 def cmd_process(args):
     chi_ref, chi_log = dataset.reference_chi()
-    pairs = [
-        (phi, dataset.reference_rho(i)[0])
-        for i, phi in enumerate(dataset.reference_targets()[:9], 1)
-    ]
-    fit = tomography.reconstruct_process(pairs)
+    fit = _refit(_published_states())
     fids, mean_f = tomography.mub_fidelities(chi_ref)
+    f_ref = tomography.process_fidelity(chi_ref)
     results = {
         "refit_process_fidelity": tomography.process_fidelity(fit.chi),
         "refit_residual": fit.residual,
         "max_entrywise_dev_vs_reference": float(np.abs(fit.chi - chi_ref).max()),
-        "reference_process_fidelity": tomography.process_fidelity(chi_ref),
+        "reference_process_fidelity": f_ref,
         "reference_chi_adjustments": chi_log,
         "mub_fidelities_of_reference": fids,
         "mub_mean": mean_f,
-        "average_fidelity_formula": tomography.average_fidelity_from_process(
-            tomography.process_fidelity(chi_ref)
-        ),
+        "average_fidelity_formula": tomography.average_fidelity_from_process(f_ref),
     }
     emit_report("process", {}, results, args.out)
     return 0
 
 
 def _certify_grid(chi, grid, closed_interval):
-    """Batch-certify the phase grid through ``chi``; returns the summary and its mus."""
+    """Batch-certify the phase grid through ``chi``; returns the summary, its phases and mus."""
     summary = certify.batch_certification(
         lambda r: tomography.apply_process(chi, r, repair=True),
         grid=grid,
         closed_interval=closed_interval,
     )
-    return summary, summary.pop("mus")
+    return summary, summary.pop("phases"), summary.pop("mus")
 
 
 def cmd_certify(args):
@@ -185,15 +189,10 @@ def cmd_certify(args):
     else:
         mat, log = dataset.repair_and_log_density(np.eye(3) / 3.0)
     if args.batch:
-        grid = _grid_shape(args.grid)
-        summary, mus = _certify_grid(mat, grid, args.closed_interval)
+        summary, phases, mus = _certify_grid(mat, _grid_shape(args.grid), args.closed_interval)
         config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": path}
         emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
-        states = certify.phase_grid_states(*grid, closed_interval=args.closed_interval)
-        rows = [
-            (p1, p2, mu, "genuine_qutrit" if mu > certify.VERDICT_TOL else "qubit_simulable")
-            for ((p1, p2), _), mu in zip(states, mus)
-        ]
+        rows = [(*p, mu, v) for p, mu, v in zip(phases, mus, certify.verdict(mus))]
         _write_csv(args.out, "certify_batch", ("phi1", "phi2", "mu", "verdict"), rows)
         return 0
     report = certify.certify_state(mat)
@@ -272,11 +271,10 @@ def cmd_full_reproduction(args):
         checks.append({"name": name, "value": value, "target": target, "tol": tol, "ok": ok})
         return ok
 
-    targets = dataset.reference_targets()
+    states = _published_states()
     fid_rows = []
-    for i in range(1, 11):
-        rho, _ = dataset.reference_rho(i)
-        f = algebra.fidelity(rho, targets[i - 1])
+    for i, (rho, _, phi) in enumerate(states, 1):
+        f = algebra.fidelity(rho, phi)
         pos = dataset.STATE_FIDELITY_POSITIONS[i]
         listed = dataset.LISTED_STATE_FIDELITIES[pos]
         fid_rows.append({"state": i, "fidelity": f, "listed": listed})
@@ -295,16 +293,10 @@ def cmd_full_reproduction(args):
         check(f"mub_fidelity_{i}", float(f), listed, 0.01)
     check("mub_mean", mean_f, dataset.LISTED_MUB_MEAN, 0.005)
 
-    pairs = [(phi, dataset.reference_rho(i)[0]) for i, phi in enumerate(targets[:9], 1)]
-    fit = tomography.reconstruct_process(pairs)
-    check(
-        "refit_process_fidelity",
-        tomography.process_fidelity(fit.chi),
-        dataset.LISTED_PROCESS_FIDELITY,
-        0.02,
-    )
+    f_refit = tomography.process_fidelity(_refit(states).chi)
+    check("refit_process_fidelity", f_refit, dataset.LISTED_PROCESS_FIDELITY, 0.02)
 
-    summary, _ = _certify_grid(chi_ref, _grid_shape(args.grid), args.closed_interval)
+    summary, *_ = _certify_grid(chi_ref, _grid_shape(args.grid), args.closed_interval)
     check("n_genuine", float(summary["n_genuine"]), dataset.LISTED_N_GENUINE, 15)
     check(
         "mean_mu_of_genuine",
@@ -317,18 +309,14 @@ def cmd_full_reproduction(args):
         "state_fidelities": fid_rows,
         "mub_fidelities": fids,
         "mub_mean": mean_f,
-        "refit_process_fidelity": tomography.process_fidelity(fit.chi),
+        "refit_process_fidelity": f_refit,
         "certification": summary,
         "checks": checks,
         "all_checks_pass": all(c["ok"] for c in checks),
     }
-    config = {
-        "grid": args.grid,
-        "closed_interval": args.closed_interval,
-        "check": args.check,
-    }
+    config = {"grid": args.grid, "closed_interval": args.closed_interval, "check": args.check}
     emit_report("full_reproduction", config, results, args.out)
-    if args.check and not all(c["ok"] for c in checks):
+    if args.check and not results["all_checks_pass"]:
         return EXIT_CHECK_FAILED
     return 0
 

@@ -8,8 +8,9 @@ adjustment; repairs beyond ``REPAIR_CAP`` raise DataQualityError.
 
 The published process matrix is stated in the orthonormal operator basis
 {I/sqrt3, lambda_a/sqrt2} and normalized to unit trace (Choi-state
-form); ``load_reference_chi`` converts it to this package's convention
-(sigma_0 = I, trace preservation sum chi_lk s_k s_l = I).
+form); ``repair_and_log_process`` detects that convention, for it as
+for any 9x9 file, and converts it to this package's (sigma_0 = I, trace
+preservation sum chi_lk s_k s_l = I).
 """
 
 from __future__ import annotations
@@ -118,29 +119,25 @@ def repair_and_log_density(mat):
     return rho, log
 
 
-def repair_and_log_process(mat, assume_choi_normalized=None):
+def repair_and_log_process(mat):
     """Repair a 9x9 process matrix; returns (chi, adjustment log).
 
-    ``assume_choi_normalized`` selects the published convention
-    (orthonormal basis, unit trace); by default the interpretation whose
+    The convention is detected: of this package's basis and the published
+    one (orthonormal basis, unit trace), the reading whose
     trace-preservation residual is smaller wins -- a matrix stated in the
     operator basis already has sum chi_lk s_k s_l close to I, while a
     Choi-normalized one reaches that only after conversion.
     """
     mat = np.asarray(mat, dtype=complex)
-    if assume_choi_normalized is None:
-        resid_raw = float(np.abs(tomography.tp_matrix(mat) - np.eye(3)).max())
-        resid_conv = float(
-            np.abs(tomography.tp_matrix(tomography.chi_from_orthonormal(mat)) - np.eye(3)).max()
-        )
-        assume_choi_normalized = resid_conv < resid_raw
-    chi = tomography.chi_from_orthonormal(mat) if assume_choi_normalized else mat
+    readings = (mat, tomography.chi_from_orthonormal(mat))
+    resids = [float(np.abs(tomography.tp_matrix(m) - np.eye(3)).max()) for m in readings]
+    choi_normalized = resids[1] < resids[0]
+    chi, tp_resid = readings[choi_normalized], resids[choi_normalized]
     herm = float(np.abs(chi - chi.conj().T).max())
     eigs = np.linalg.eigvalsh((chi + chi.conj().T) / 2)
     clip = float(max(0.0, -eigs.min()))
-    tp_resid = float(np.abs(tomography.tp_matrix(chi) - np.eye(3)).max())
     log = {
-        "converted_from_choi_normalized": bool(assume_choi_normalized),
+        "converted_from_choi_normalized": choi_normalized,
         "hermiticity_residual": herm,
         "eigenvalue_clip": clip,
         "tp_residual": tp_resid,
@@ -191,7 +188,7 @@ def reference_chi_raw():
 
 def reference_chi():
     """Published chi converted to this package's basis and made physical."""
-    return repair_and_log_process(reference_chi_raw(), assume_choi_normalized=True)
+    return repair_and_log_process(reference_chi_raw())
 
 
 def reference_targets():

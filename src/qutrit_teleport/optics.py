@@ -216,14 +216,19 @@ class VisibilityModel:
     """Pairwise HOM visibilities between photon sources.
 
     ``default`` applies to every interfering source pair unless an entry
-    in ``pairwise`` (keys: frozenset of source names among
-    {"p1", "p2", "aux_c", "aux_d"}) overrides it.
+    in ``pairwise`` (keys: frozenset of two distinct names in ``SOURCES``)
+    overrides it.
     """
+
+    SOURCES = ("p1", "p2", "aux_c", "aux_d")
 
     default: float = 1.0
     pairwise: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in self.pairwise:
+            if not (isinstance(key, frozenset) and len(key) == 2 and key <= set(self.SOURCES)):
+                raise ValueError(f"pairwise key {key!r} is not a pair of sources {self.SOURCES}")
         for v in [self.default, *self.pairwise.values()]:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("visibility must lie in [0, 1]")
@@ -235,7 +240,7 @@ class VisibilityModel:
 
     def tag_vectors(self):
         """Wavepacket vectors whose Gram matrix realizes sqrt(V) overlaps."""
-        sources = ["p1", "p2", "aux_c", "aux_d"]
+        sources = self.SOURCES
         n = len(sources)
         gram = np.eye(n)
         for i in range(n):

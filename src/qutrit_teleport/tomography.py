@@ -34,15 +34,10 @@ FIT_TOL = 1e-9
 FIT_MAX_ITER = 20000
 
 
-def canonical_kets():
-    """The nine tomography projectors, in measurement order.
-
-    They are the first nine benchmark inputs phi_1 .. phi_9.
-    """
-    return protocol.benchmark_input_states()[:9]
-
-
-CANONICAL_KETS = canonical_kets()
+# The nine tomography projectors in measurement order, read-only, shape
+# (9, 3): the first nine benchmark inputs phi_1 .. phi_9.
+CANONICAL_KETS = np.array(protocol.benchmark_input_states()[:9])
+CANONICAL_KETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,7 @@ def simulate_counts(rho, exposure, rng):
     """Poisson counts with mean exposure * <psi_i|rho|psi_i> per setting."""
     if exposure <= 0:
         raise ValueError("exposure must be positive")
-    probs = np.clip(born_probabilities(rho), 0.0, None)
-    counts = rng.poisson(exposure * probs)
-    return CountsTable(tuple(int(c) for c in counts))
+    return CountsTable(rng.poisson(exposure * np.clip(born_probabilities(rho), 0.0, None)))
 
 
 def _linear_inversion(counts):
@@ -142,8 +135,7 @@ def _rho_to_t(rho):
     )
 
 
-_KETS = np.array(CANONICAL_KETS)
-_KETS_CONJ = _KETS.conj()
+_KETS_CONJ = CANONICAL_KETS.conj()
 
 # scipy's default finite-difference step for L-BFGS-B, and the relative step
 # it falls back to where x + h rounds back to x
@@ -153,7 +145,7 @@ _FD_REL_STEP = np.finfo(float).eps ** 0.5
 
 def _neg_loglik(t, c):
     """Poisson negative log-likelihood (n,) of factors t (n, 9) for counts c."""
-    p = np.einsum("ij,njk,ik->ni", _KETS_CONJ, _t_to_rho(t), _KETS).real
+    p = np.einsum("ij,njk,ik->ni", _KETS_CONJ, _t_to_rho(t), CANONICAL_KETS).real
     p = np.clip(p, 1e-12, None)
     # analytic optimal exposure scale: s = sum(n) / sum(p)
     lam = (c.sum() / p.sum(axis=-1))[:, None] * p
@@ -175,7 +167,8 @@ def _mle(counts):
         f = _neg_loglik(points, c)
         return f[0], (f[1:] - f[0]) / (stepped - x)
 
-    t0 = _rho_to_t(_linear_inversion(counts))
+    # linear inversion needs the basis counts; without them the seed is I/3
+    t0 = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(counts))
     # one call per point, so maxfun 1500 stops where scipy's own difference
     # (ten evaluations per point) stops against its default of 15000
     res = minimize(
@@ -519,6 +512,8 @@ def check_process_matrix(chi, tp_tol=TP_TOL, psd_tol=PSD_TOL):
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (_N, _N):
         raise ValueError(f"chi must be 9x9, got {chi.shape}")
+    if not np.isfinite(chi).all():
+        raise ValueError("chi has non-finite entries")
     if np.abs(chi - chi.conj().T).max() > 1e-9:
         raise ValueError("chi is not Hermitian")
     if np.linalg.eigvalsh((chi + chi.conj().T) / 2).min() < -psd_tol:
@@ -543,7 +538,6 @@ def chi_from_orthonormal(chi_on):
 
 __all__ = [
     "CANONICAL_KETS",
-    "canonical_kets",
     "CountsTable",
     "born_probabilities",
     "simulate_counts",

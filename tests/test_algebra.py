@@ -169,6 +169,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             algebra.check_pure_state(np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_pure_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            algebra.check_pure_state(np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_density_matrix_rejects_non_finite(self, bad):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            algebra.check_density_matrix(rho)
+
     def test_check_density_matrix_rejects_negative(self):
         bad = np.diag([1.5, -0.5, 0.0])
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from qutrit_teleport import algebra, certify, dataset, tomography
 
-from helpers import random_density_matrix
+from helpers import count_calls, random_density_matrix
 
 
 def max_coherent_rho():
@@ -375,12 +375,12 @@ class TestCertifyState:
         report = certify.certify_state(max_coherent_rho())
         assert report.verdict == "genuine_qutrit"
         assert report.mu > 0.49
-        assert report.decomposition is None
 
     def test_maximally_mixed_verdict(self):
-        report = certify.certify_state(np.eye(3) / 3)
+        rho = np.eye(3) / 3
+        report = certify.certify_state(rho)
         assert report.verdict == "qubit_simulable"
-        assert report.decomposition is not None
+        certify.certificate(rho, report.mu).check(certify._noisy_state(rho, report.mu))
 
     def test_verdict_resolves_on_the_mu_grid(self):
         # a 1e-10 amplitude gives mu* of order 1e-10, which the grid reports as
@@ -389,7 +389,48 @@ class TestCertifyState:
         report = certify.certify_state(rho)
         assert report.mu == certify.MU_STEP
         assert report.verdict == "qubit_simulable"
-        report.decomposition.check(certify._noisy_state(rho, report.mu), atol=1e-7)
+        certify.certificate(rho, report.mu).check(certify._noisy_state(rho, report.mu), atol=1e-7)
+
+    def test_report_carries_no_certificate(self, monkeypatch):
+        calls = count_calls(monkeypatch, certify, "certificate")
+        report = certify.certify_state(np.eye(3) / 3)
+        assert calls == []
+        assert not hasattr(report, "decomposition")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_robustness_mu_rejects_non_finite(self, bad):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            certify.robustness_mu(rho)
+
+
+class TestVerdict:
+    def test_one_mu_gives_a_str(self):
+        assert certify.verdict(0.5) == "genuine_qutrit"
+        assert type(certify.verdict(0.5)) is str
+        assert certify.verdict(certify.VERDICT_TOL) == "qubit_simulable"
+        assert certify.verdict(-1.0) == "qubit_simulable"
+
+    def test_stack_matches_the_scalar_rule(self):
+        mus = np.array([-1.0, 0.0, certify.MU_STEP, 2 * certify.MU_STEP, 0.3])
+        got = certify.verdict(mus)
+        assert got.shape == mus.shape
+        assert list(got) == [certify.verdict(float(mu)) for mu in mus]
+        assert list(got) == ["qubit_simulable"] * 3 + ["genuine_qutrit"] * 2
+
+    def test_batch_counts_follow_the_verdict(self):
+        chi = tomography.noisy_model_chi(0.3)
+        summary = certify.batch_certification(
+            lambda r: tomography.apply_process(chi, r, repair=True), grid=(6, 5)
+        )
+        verdicts = list(certify.verdict(summary["mus"]))
+        assert summary["n_genuine"] == verdicts.count("genuine_qutrit")
+        assert summary["n_simulable"] == verdicts.count("qubit_simulable")
+        grid = [p for p, _ in certify.phase_grid_states(6, 5)]
+        assert summary["phases"] == grid
 
 
 class TestPhaseGrid:

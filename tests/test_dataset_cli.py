@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_teleport import algebra, cli, dataset, mc, tomography
+from qutrit_teleport import algebra, certify, cli, dataset, mc, tomography
 from qutrit_teleport.errors import DataQualityError, ParseError
+
+from helpers import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY_MIXED = Path(__file__).resolve().parent / "fixtures" / "identity_mixed.json"
@@ -83,6 +85,7 @@ class TestReferenceData:
 
     def test_reference_chi_converted_and_physical(self):
         chi, log = dataset.reference_chi()
+        # detected, as for any 9x9 file
         assert log["converted_from_choi_normalized"]
         tomography.check_process_matrix(chi, tp_tol=1e-6, psd_tol=1e-7)
         assert abs(tomography.process_fidelity(chi) - 0.596) < 0.005
@@ -459,6 +462,26 @@ class TestCli:
         assert code == cli.EXIT_CHECK_FAILED
         failing = [c["name"] for c in report["results"]["checks"] if not c["ok"]]
         assert failing == ["refit_process_fidelity"]
+
+    @pytest.mark.parametrize("command", ["tomography", "process", "full_reproduction"])
+    def test_published_states_read_once(self, command, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, dataset, "reference_rho")
+        assert self.run([command], capsys)[0] == 0
+        assert sorted(calls) == [(i,) for i in range(1, 11)]
+
+    def test_certify_batch_builds_the_grid_once(self, capsys, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, certify, "phase_grid_states")
+        code, _ = self.run(["certify", "--batch", "--grid", "3x2", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "certify_batch.csv").read_text().splitlines()) == 7
+
+    def test_certify_builds_no_certificate(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, certify, "certificate")
+        code, report = self.run(["certify"], capsys)
+        assert code == 0
+        assert report["results"]["verdict"] == "qubit_simulable"
+        assert calls == []
 
     def test_mub_study_cli(self, capsys):
         code, report = self.run(["mub_study", "--trials", "5", "--seed", "1"], capsys)

@@ -6,6 +6,8 @@ import pytest
 from qutrit_teleport import algebra, certify, mc, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError, SolverError
 
+from helpers import count_calls
+
 
 def fidelity_statistic(target):
     def stat(tables):
@@ -114,6 +116,28 @@ class TestCountsForState:
         table = mc.counts_for_state(rho, 900.0, np.random.default_rng(0))
         # expected total over all settings ~ 900
         assert 700 < sum(table.counts) < 1100
+
+    def test_born_probabilities_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, tomography, "born_probabilities")
+        mc.counts_for_state(np.eye(3) / 3, 150.0, np.random.default_rng(0))
+        assert len(calls) == 1
+
+    def test_counts_are_simulate_counts_at_the_split_exposure(self):
+        rho = tomography.apply_process(
+            tomography.noisy_model_chi(), algebra.projector(tomography.CANONICAL_KETS[4])
+        )
+        probs = np.clip(tomography.born_probabilities(rho), 0.0, None)
+        for seed in range(5):
+            table = mc.counts_for_state(rho, 150.0, np.random.default_rng(seed))
+            expected = tomography.simulate_counts(
+                rho, 150.0 / probs.sum(), np.random.default_rng(seed)
+            )
+            assert table == expected
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_rejects_non_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            mc.counts_for_state(np.eye(3) / 3, rate, np.random.default_rng(0))
 
 
 class TestConvergenceStudy:

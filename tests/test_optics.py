@@ -308,6 +308,18 @@ class TestVisibility:
         with pytest.raises(ValueError):
             optics.VisibilityModel(pairwise={frozenset(("p1", "p2")): -0.1})
 
+    @pytest.mark.parametrize(
+        "key",
+        [frozenset(("p1", "p3")), "p1", frozenset(("p1",)), ("p1", "p2"), frozenset("abc")],
+    )
+    def test_model_rejects_keys_it_would_ignore(self, key):
+        with pytest.raises(ValueError, match="pairwise key"):
+            optics.VisibilityModel(pairwise={key: 0.5})
+
+    def test_run_teleportation_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            optics.run_teleportation(np.array([np.nan, 0.0, 0.0]))
+
     def test_tag_vectors_reproduce_gram(self):
         vis = optics.VisibilityModel(
             default=0.8, pairwise={frozenset(("p1", "p2")): 0.9}

@@ -22,8 +22,9 @@ def random_physical_chi(rng):
 
 class TestProjectors:
     def test_exact_published_set(self):
-        kets = tomography.canonical_kets()
-        assert len(kets) == 9
+        kets = tomography.CANONICAL_KETS
+        assert kets.shape == (9, 3)
+        assert not kets.flags.writeable
         r2 = 1 / math.sqrt(2)
         assert np.abs(kets[3] - r2 * np.array([1, 1, 0])).max() < 1e-12
         assert np.abs(kets[4] - r2 * np.array([1, 1j, 0])).max() < 1e-12
@@ -116,6 +117,14 @@ class TestStateReconstruction:
         with pytest.raises(InsufficientDataError):
             tomography.reconstruct_state(counts, "linear")
 
+    def test_mle_without_basis_counts(self):
+        # linear inversion needs the basis counts; the MLE seeds from I/3
+        counts = tomography.CountsTable((0, 0, 0, 5, 3, 4, 2, 6, 1))
+        rho = tomography.reconstruct_state(counts, "mle")
+        algebra.check_density_matrix(rho)
+        with pytest.raises(InsufficientDataError, match="basis-projector"):
+            tomography.reconstruct_state(counts, "linear")
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             tomography.reconstruct_state(self.exact_counts(np.eye(3) / 3), "bayes")
@@ -142,7 +151,7 @@ def ref_mle(counts):
     """The state MLE with scipy's own finite-difference gradient: one scalar
     likelihood call per point and per coordinate. Returns (rho, scipy result)."""
     c = np.asarray(counts.counts, dtype=float)
-    kets = np.array(tomography.CANONICAL_KETS)
+    kets = tomography.CANONICAL_KETS
 
     def neg_loglik(t):
         rho = ref_t_to_rho(t)
@@ -427,7 +436,7 @@ class TestProjections:
 
 class TestProcessReconstruction:
     def make_pairs(self, chi, inputs=None):
-        inputs = inputs if inputs is not None else tomography.canonical_kets()
+        inputs = inputs if inputs is not None else tomography.CANONICAL_KETS
         return [
             (phi, tomography.apply_process(chi, algebra.projector(phi)))
             for phi in inputs
@@ -452,7 +461,7 @@ class TestProcessReconstruction:
         def channel(rho):
             return np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
 
-        pairs = [(phi, channel(algebra.projector(phi))) for phi in tomography.canonical_kets()]
+        pairs = [(phi, channel(algebra.projector(phi))) for phi in tomography.CANONICAL_KETS]
         chi = tomography.reconstruct_process(pairs).chi
         tomography.check_process_matrix(chi)
         rho = random_density_matrix(rng)
@@ -481,7 +490,7 @@ class TestProcessReconstruction:
         rng = np.random.default_rng(12)
         chi = tomography.noisy_model_chi()
         pairs = []
-        for phi in tomography.canonical_kets():
+        for phi in tomography.CANONICAL_KETS:
             out = tomography.apply_process(chi, algebra.projector(phi))
             out = out + 0.02 * rng.normal(size=(3, 3))
             pairs.append((phi, out))
@@ -571,12 +580,12 @@ class TestParameterMaps:
             tomography._PARAM_BASIS[0, 0, 0] = 2.0
         M, Mp, b = tomography._tp_constraint()
         K, k = tomography._tp_map()
-        A, gram, _ = tomography._fit_design(tomography.canonical_kets())
+        A, gram, _ = tomography._fit_design(tomography.CANONICAL_KETS)
         assert not any(a.flags.writeable for a in (M, Mp, b, K, k, A, gram))
 
     @pytest.mark.parametrize("family", ["mub", "canonical"])
     def test_design_operator_matches_probes(self, family):
-        inputs = algebra.MUB_KETS if family == "mub" else tomography.canonical_kets()
+        inputs = algebra.MUB_KETS if family == "mub" else tomography.CANONICAL_KETS
         A = tomography._design_operator(inputs)
         assert A.shape == (18 * len(inputs), 81)
         assert np.abs(A - probed_design_operator(inputs)).max() < 1e-12
@@ -689,9 +698,9 @@ class TestDesignCache:
 
     def test_equal_input_set_hits(self):
         info = tomography._cached_fit_design.cache_info
-        A, gram, step = tomography._fit_design(tomography.canonical_kets())
+        A, gram, step = tomography._fit_design(tomography.CANONICAL_KETS)
         hits = info().hits
-        anew = [np.array(k, copy=True) for k in tomography.canonical_kets()]
+        anew = [np.array(k, copy=True) for k in tomography.CANONICAL_KETS]
         again = tomography._fit_design(anew)
         assert info().hits == hits + 1
         assert np.array_equal(again[0], A)
@@ -701,7 +710,7 @@ class TestDesignCache:
 
     def test_other_input_set_misses(self):
         info = tomography._cached_fit_design.cache_info
-        tomography._fit_design(tomography.canonical_kets())
+        tomography._fit_design(tomography.CANONICAL_KETS)
         misses = info().misses
         kets = self.random_kets(np.random.default_rng(19))
         A, _, _ = tomography._fit_design(kets)
@@ -743,6 +752,13 @@ class TestBasisConversion:
 
 
 class TestCheckProcessMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        chi = tomography.chi_ideal()
+        chi[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tomography.check_process_matrix(chi)
+
     def test_rejects_nonhermitian(self):
         chi = tomography.chi_ideal()
         chi[0, 1] = 0.1
