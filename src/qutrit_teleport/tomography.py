@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import algebra, protocol
-from .errors import IllPosedError, InsufficientDataError, SolverError
+from .errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
 
 TP_TOL = 1e-6
 PSD_TOL = 1e-9
@@ -234,61 +234,39 @@ _BASIS = algebra.GELL_MANN  # shape (9, 3, 3)
 _N = 9
 
 
-# Isometric vectorization of Hermitian 9x9 matrices: off-diagonal
-# parameters carry a sqrt(2) so the parameter 2-norm equals the Frobenius
-# norm (required for the PSD and TP projections to share one metric).
-_SQRT2 = math.sqrt(2.0)
+# The 162 unit chi's: the float view of each is one unit vector, in the
+# order of chi.view(float). Every real-linear map of the chi fit is the
+# matrix of its values on them.
+_UNIT_CHIS = np.eye(2 * _N * _N).view(complex).reshape(-1, _N, _N)
+_UNIT_CHIS.flags.writeable = False
 
 
-_DIAG = np.arange(_N)
-_ROW, _COL = np.triu_indices(_N, 1)  # row-major; (re, im) pairs follow the diagonal
+def _liouville(chi):
+    """The 9x9 Liouville matrices of chi, over its leading axes.
 
-
-def _chi_from_params(x):
-    """Parameters (..., 81) -> Hermitian chi (..., 9, 9)."""
-    x = np.asarray(x, dtype=float)
-    upper = (x[..., _N::2] + 1j * x[..., _N + 1 :: 2]) / _SQRT2
-    chi = np.zeros(x.shape[:-1] + (_N, _N), dtype=complex)
-    chi[..., _DIAG, _DIAG] = x[..., :_N]
-    chi[..., _ROW, _COL] = upper
-    chi[..., _COL, _ROW] = upper.conj()
-    return chi
-
-
-def _params_from_chi(chi):
-    upper = chi[_ROW, _COL]
-    x = np.empty(_N * _N)
-    x[:_N] = np.diag(chi).real
-    x[_N::2] = _SQRT2 * upper.real
-    x[_N + 1 :: 2] = _SQRT2 * upper.imag
-    return x
-
-
-# chi of each unit parameter vector: an orthonormal basis of the Hermitian
-# 9x9 matrices, from which every linear map of the chi fit is built.
-_PARAM_BASIS = _chi_from_params(np.eye(_N * _N))
-_PARAM_BASIS.flags.writeable = False
+    vec(rho_out) = L vec(rho) for row-major vec: B^T chi B (B the basis
+    stacked as 9x9 rows) holds sum_lk sigma_l[a, b] chi_lk sigma_k[c, d]
+    at ((a, b), (c, d)), and L is that array with the indices regrouped
+    as ((a, d), (b, c)).
+    """
+    basis = _BASIS.reshape(_N, _N)
+    product = (basis.T @ chi @ basis).reshape(chi.shape[:-2] + (3, 3, 3, 3))
+    return np.moveaxis(product, -1, -3).reshape(chi.shape)
 
 
 def apply_process(chi, rho, repair=False):
     """rho_out = sum_lk chi_lk sigma_l rho sigma_k, over rho's leading axes.
 
-    chi enters as its 9x9 Liouville matrix L, with vec(rho_out) = L vec(rho)
-    for row-major vec: B^T chi B (B the basis stacked as 9x9 rows) holds
-    sum_lk sigma_l[a, b] chi_lk sigma_k[c, d] at ((a, b), (c, d)), and L is
-    that array with the indices regrouped as ((a, d), (b, c)). Each state
-    is one matrix-vector product, so a stack gives the same bits as its
-    states one by one.
+    chi enters as its Liouville matrix, so each state is one
+    matrix-vector product and a stack gives the same bits as its states
+    one by one.
 
     With ``repair`` the output is symmetrized, eigenvalue-clipped and
     trace-renormalized; use it when chi is only approximately physical.
     """
     chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    basis = _BASIS.reshape(_N, _N)
-    product = (basis.T @ chi @ basis).reshape(3, 3, 3, 3)
-    liouville = product.transpose(0, 3, 1, 2).reshape(_N, _N)
-    out = (liouville @ rho.reshape(rho.shape[:-2] + (_N, 1))).reshape(rho.shape)
+    out = (_liouville(chi) @ rho.reshape(rho.shape[:-2] + (_N, 1))).reshape(rho.shape)
     if repair:
         out, _ = repair_density_matrix(out)
     return out
@@ -347,29 +325,23 @@ def mub_fidelities(chi, repair=False):
 # --- chi reconstruction ---------------------------------------------------
 
 
-def _real_rows(outs):
-    """(m, 3, 3, 81) outputs -> real (18 m, 81) rows: Re then Im of each output."""
-    rows = np.empty((len(outs), 2) + outs.shape[1:])
-    rows[:, 0] = outs.real
-    rows[:, 1] = outs.imag
-    return rows.reshape(-1, _N * _N)
+def _real_rows(values):
+    """Values (162, ..., 9) on the unit chi's -> the real matrix of the map.
+
+    Each group of nine entries gives nine rows of real parts, then nine of
+    imaginary parts.
+    """
+    return np.stack([values.real, values.imag], axis=-2).reshape(len(values), -1).T
 
 
 def _design_operator(inputs):
-    """Real (18 n, 81) matrix mapping chi parameters to stacked output entries."""
-    rhos = algebra.projector(inputs)
-    # the per-input superoperator (sigma_l rho_n sigma_k)_ad is passed inline
-    # so that it is freed before the real rows are allocated
-    outs = np.einsum(
-        "plk,nlkad->nadp",
-        _PARAM_BASIS,
-        np.einsum("lab,nbc,kcd->nlkad", _BASIS, rhos, _BASIS),
-    )
-    return _real_rows(outs)
+    """Real (18 n, 162) matrix mapping chi.view(float) to the stacked output entries."""
+    rhos = algebra.projector(inputs).reshape(-1, _N, 1)
+    return _real_rows((_liouville(_UNIT_CHIS)[:, np.newaxis] @ rhos)[..., 0])
 
 
 def _fit_design(inputs):
-    """Read-only (A, A^T A, 1 / ||A^T A||_2) for an input set, cached by its kets."""
+    """Read-only (A, A^+, A^T A, 1 / ||A^T A||_2) for an input set, cached by its kets."""
     kets = np.array(inputs, dtype=complex)
     return _cached_fit_design(kets.tobytes(), kets.shape)
 
@@ -381,39 +353,24 @@ def _cached_fit_design(data, shape):
     if np.linalg.matrix_rank(proj_stack, tol=1e-9) < 9:
         raise IllPosedError("input states do not span qutrit operator space")
     A = _design_operator(kets)
+    pinv = np.linalg.pinv(A)
     gram = A.T @ A
-    for a in (A, gram):
+    for a in (A, pinv, gram):
         a.flags.writeable = False
-    return A, gram, 1.0 / np.linalg.norm(gram, 2)
-
-
-@functools.cache
-def _tp_constraint():
-    """Affine TP constraint rows M x = b in parameter space, with pinv(M)."""
-    M = _real_rows(np.moveaxis(tp_matrix(_PARAM_BASIS), 0, -1)[np.newaxis])
-    b = np.r_[np.eye(3).ravel(), np.zeros(9)]
-    arrays = (M, np.linalg.pinv(M), b)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return A, pinv, gram, 1.0 / np.linalg.norm(gram, 2)
 
 
 @functools.cache
 def _tp_map():
     """The TP projection as one affine map v -> K v + k on chi.view(float).
 
-    K = R (I - M^+ M) S and k = R M^+ b, where S is ``_params_from_chi``
-    and R is ``_chi_from_params`` written as matrices. S reads only the
-    real diagonal and the upper triangle, so the map stays exact on
-    inputs that are Hermitian only to rounding.
+    K = I - M^+ M and k = M^+ b, with M the real rows of ``tp_matrix`` on
+    the unit chi's and b those of the identity.
     """
-    M, Mp, b = _tp_constraint()
-    R = _PARAM_BASIS.view(float).reshape(_N * _N, -1).T
-    S = np.array(
-        [_params_from_chi(e) for e in np.eye(2 * _N * _N).view(complex).reshape(-1, _N, _N)]
-    ).T
-    K = R @ (np.eye(_N * _N) - Mp @ M) @ S
-    k = R @ (Mp @ b)
+    M = _real_rows(tp_matrix(_UNIT_CHIS).reshape(-1, 1, _N))
+    Mp = np.linalg.pinv(M)
+    K = np.eye(len(_UNIT_CHIS)) - Mp @ M
+    k = Mp @ np.r_[np.eye(3).ravel(), np.zeros(_N)]
     for a in (K, k):
         a.flags.writeable = False
     return K, k
@@ -461,31 +418,44 @@ class ProcessFit:
     n_iterations: int
 
 
+# Weights that measure a FISTA step on chi.view(float) as the isometric
+# Hermitian coordinates do: 1 on the diagonal, sqrt(2) off it.
+_STEP_WEIGHT = (np.where(np.eye(_N, dtype=bool), 1, math.sqrt(2)) * (1 + 1j)).view(float).ravel()
+
+
 def reconstruct_process(pairs, physical=True):
     """Least-squares chi under PSD and trace-preservation constraints.
 
-    ``pairs`` is a list of (input pure state, output density matrix).
-    Minimizes the summed Frobenius misfit by projected gradient descent,
-    with Dykstra alternating projection onto the PSD cone and the TP
-    affine subspace as the projection step. Returns a ProcessFit with the
-    final residual.
+    ``pairs`` is a list of at least nine (input pure state, output 3x3
+    density matrix). Minimizes the summed Frobenius misfit by projected
+    gradient descent on chi.view(float), with Dykstra alternating
+    projection onto the PSD cone and the TP affine subspace as the
+    projection step. Returns a ProcessFit with the Hermitian part of the
+    final iterate and its residual.
 
     With ``physical=False`` the constraints are dropped and the plain
     least-squares (Hermitian) solution is returned; that estimator is
     linear in the data and therefore unbiased under Poisson noise.
     """
-    inputs = [algebra.check_pure_state(np.asarray(p, dtype=complex)) for p, _ in pairs]
+    if len(pairs) < _N:
+        raise IllPosedError(f"need at least {_N} input/output pairs, got {len(pairs)}")
+    inputs = [algebra.check_pure_state(p, dim=3) for p, _ in pairs]
     outputs = [np.asarray(r, dtype=complex) for _, r in pairs]
+    if any(o.shape != (3, 3) for o in outputs):
+        raise DimensionError("each output must be a 3x3 matrix")
+    outputs = np.array(outputs)
+    if not np.isfinite(outputs).all():
+        raise ValueError("output matrices have non-finite entries")
 
-    A, gram, step = _fit_design(inputs)
-    b = np.concatenate([np.r_[o.real.ravel(), o.imag.ravel()] for o in outputs])
+    A, pinv, gram, step = _fit_design(inputs)
+    b = np.stack([outputs.real, outputs.imag], axis=1).ravel()
     atb = A.T @ b
 
     def proj(v):
-        return _params_from_chi(project_physical(_chi_from_params(v)))
+        return project_physical(v.view(complex).reshape(_N, _N)).view(float).ravel()
 
     # FISTA from the projected unconstrained interpolant.
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x = pinv @ b
     n_iterations = 0
     if physical:
         x = proj(x)
@@ -496,15 +466,17 @@ def reconstruct_process(pairs, physical=True):
             t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
             z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
             obj = float(np.sum((A @ x_new - b) ** 2))
-            moved = np.abs(x_new - x).max()
+            moved = np.abs(_STEP_WEIGHT * (x_new - x)).max()
             x, t_mom = x_new, t_new
             if moved < FIT_TOL and abs(prev - obj) < FIT_TOL * max(1.0, obj):
                 break
             prev = obj
         else:
             raise SolverError("projected gradient did not converge")
-    residual = float(np.sum((A @ x - b) ** 2))
-    return ProcessFit(chi=_chi_from_params(x), residual=residual, n_iterations=n_iterations)
+    chi = x.view(complex).reshape(_N, _N)
+    chi = (chi + chi.conj().T) / 2
+    residual = float(np.sum((A @ chi.view(float).ravel() - b) ** 2))
+    return ProcessFit(chi=chi, residual=residual, n_iterations=n_iterations)
 
 
 def check_process_matrix(chi, tp_tol=TP_TOL, psd_tol=PSD_TOL):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
-from qutrit_teleport.errors import IllPosedError, InsufficientDataError
+from qutrit_teleport.errors import DimensionError, IllPosedError, InsufficientDataError
 
 from helpers import random_density_matrix
 
@@ -497,9 +498,58 @@ class TestProcessReconstruction:
         fit = tomography.reconstruct_process(pairs)
         tomography.check_process_matrix(fit.chi, tp_tol=1e-5)
 
+    @pytest.mark.parametrize("physical", [True, False])
+    def test_fit_chi_is_exactly_hermitian(self, physical):
+        # outputs with non-Hermitian noise, so the float-view iterate is not
+        rng = np.random.default_rng(21)
+        pairs = [
+            (phi, out + 0.02 * rng.normal(size=(3, 3)))
+            for phi, out in self.make_pairs(tomography.noisy_model_chi())
+        ]
+        chi = tomography.reconstruct_process(pairs, physical=physical).chi
+        assert np.array_equal(chi, chi.conj().T)
 
-# Reference oracle for the chi parameter maps: the element-by-element loops
-# and the unit-vector probes that the index-array maps replace.
+    def test_iterations_on_mc_errors_draws(self):
+        # the FISTA step counts of three draws, as the fit on the 81 isometric
+        # Hermitian parameters counted them: a drift in the stopping rule
+        # shows here first
+        inputs = dataset.reference_targets()[:9]
+        tables = list(mc_errors_counts(seed=0, trials=3))
+        n_iterations = []
+        for trial in range(3):
+            draw = tables[9 * trial : 9 * trial + 9]
+            states = [tomography.reconstruct_state(t, "mle") for t in draw]
+            fit = tomography.reconstruct_process(list(zip(inputs, states)))
+            n_iterations.append(fit.n_iterations)
+        assert n_iterations == [226, 179, 215]
+
+    def test_rejects_wrong_length_ket(self):
+        pairs = self.make_pairs(tomography.chi_ideal())
+        pairs[4] = (np.r_[pairs[4][0], 0.0], pairs[4][1])
+        with pytest.raises(DimensionError):
+            tomography.reconstruct_process(pairs)
+
+    def test_rejects_wrong_size_output(self):
+        pairs = self.make_pairs(tomography.chi_ideal())
+        pairs[4] = (pairs[4][0], np.eye(4) / 4)
+        with pytest.raises(DimensionError):
+            tomography.reconstruct_process(pairs)
+
+    def test_rejects_non_finite_output(self):
+        pairs = [(phi, np.full((3, 3), np.nan)) for phi in tomography.CANONICAL_KETS]
+        with pytest.raises(ValueError, match="non-finite"):
+            tomography.reconstruct_process(pairs)
+
+    @pytest.mark.parametrize("n_pairs", [0, 8])
+    def test_rejects_fewer_than_nine_pairs(self, n_pairs):
+        pairs = self.make_pairs(tomography.chi_ideal())[:n_pairs]
+        with pytest.raises(IllPosedError, match="at least 9"):
+            tomography.reconstruct_process(pairs)
+
+
+# Reference oracle for the isometric Hermitian parameters of the chi fit
+# (81 reals, off-diagonal parts carrying sqrt(2)): the element-by-element
+# loops, kept for the parameter-space TP projection below.
 SQRT2 = math.sqrt(2.0)
 
 
@@ -532,69 +582,58 @@ def loop_params_from_chi(chi):
     return x
 
 
+def unit_chis():
+    """The 162 chi's whose float views are the unit vectors, in order."""
+    chis = []
+    for col in range(162):
+        v = np.zeros(162)
+        v[col] = 1.0
+        chis.append(v.view(complex).reshape(9, 9))
+    return chis
+
+
 def probed_design_operator(inputs):
     cols = []
-    for col in range(81):
-        chi = loop_chi_from_params(np.eye(81)[col])
-        outs = [tomography.apply_process(chi, algebra.projector(phi)) for phi in inputs]
+    for chi in unit_chis():
+        outs = [ref_apply_process(chi, algebra.projector(phi)) for phi in inputs]
         cols.append(np.concatenate([np.r_[o.real.ravel(), o.imag.ravel()] for o in outs]))
     return np.array(cols).T
 
 
-def probed_tp_rows():
+def probed_tp_rows(chis):
     rows = []
-    for col in range(81):
-        t = tomography.tp_matrix(loop_chi_from_params(np.eye(81)[col]))
+    for chi in chis:
+        t = np.einsum("lk,kab,lbc->ac", chi, tomography._BASIS, tomography._BASIS)
         rows.append(np.r_[t.real.ravel(), t.imag.ravel()])
     return np.array(rows).T
 
 
+TP_TARGET = np.r_[np.eye(3).ravel(), np.zeros(9)]
+
+
 class TestParameterMaps:
-    def test_maps_equal_loop_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            x = rng.normal(size=81)
-            chi = loop_chi_from_params(x)
-            assert np.array_equal(tomography._chi_from_params(x), chi)
-            assert np.array_equal(tomography._params_from_chi(chi), loop_params_from_chi(chi))
-
-    def test_batched_chi_from_params(self):
-        xs = np.random.default_rng(14).normal(size=(2, 3, 81))
-        chis = tomography._chi_from_params(xs)
-        assert chis.shape == (2, 3, 9, 9)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(chis[idx], loop_chi_from_params(xs[idx]))
-
-    def test_round_trip_and_isometry(self):
-        # diagonal parameters pass through untouched; off-diagonal ones are
-        # divided and multiplied by sqrt(2), which can cost one rounding
-        x = np.random.default_rng(15).normal(size=81)
-        chi = tomography._chi_from_params(x)
-        back = tomography._params_from_chi(chi)
-        assert np.array_equal(back[:9], x[:9])
-        assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
-        assert math.isclose(np.linalg.norm(x), np.linalg.norm(chi), rel_tol=1e-14)
+    """The real matrices of the chi fit on chi.view(float), probed on the unit chi's."""
 
     def test_basis_is_read_only(self):
         with pytest.raises(ValueError):
-            tomography._PARAM_BASIS[0, 0, 0] = 2.0
-        M, Mp, b = tomography._tp_constraint()
+            tomography._UNIT_CHIS[0, 0, 0] = 2.0
         K, k = tomography._tp_map()
-        A, gram, _ = tomography._fit_design(tomography.CANONICAL_KETS)
-        assert not any(a.flags.writeable for a in (M, Mp, b, K, k, A, gram))
+        A, pinv, gram, _ = tomography._fit_design(tomography.CANONICAL_KETS)
+        assert not any(a.flags.writeable for a in (K, k, A, pinv, gram))
 
     @pytest.mark.parametrize("family", ["mub", "canonical"])
     def test_design_operator_matches_probes(self, family):
         inputs = algebra.MUB_KETS if family == "mub" else tomography.CANONICAL_KETS
         A = tomography._design_operator(inputs)
-        assert A.shape == (18 * len(inputs), 81)
+        assert A.shape == (18 * len(inputs), 162)
         assert np.abs(A - probed_design_operator(inputs)).max() < 1e-12
 
     def test_tp_rows_match_probes(self):
-        M, Mp, b = tomography._tp_constraint()
-        assert np.abs(M - probed_tp_rows()).max() < 1e-12
-        assert np.abs(Mp - np.linalg.pinv(probed_tp_rows())).max() < 1e-12
-        assert np.array_equal(b, np.r_[np.eye(3).ravel(), np.zeros(9)])
+        M = probed_tp_rows(unit_chis())
+        Mp = np.linalg.pinv(M)
+        K, k = tomography._tp_map()
+        assert np.abs(K - (np.eye(162) - Mp @ M)).max() < 1e-12
+        assert np.abs(k - Mp @ TP_TARGET).max() < 1e-12
 
     def test_tp_matrix_batched(self):
         chis = np.array([tomography.chi_ideal(), tomography.noisy_model_chi()])
@@ -603,13 +642,20 @@ class TestParameterMaps:
         )
 
 
+@functools.cache
+def ref_tp_constraint():
+    """TP rows M on the 81 parameters and their pseudo-inverse."""
+    M = probed_tp_rows([loop_chi_from_params(e) for e in np.eye(81)])
+    return M, np.linalg.pinv(M)
+
+
 # Reference oracle for the chi projections: the parameter-space TP step, the
 # u diag(w) u^dagger PSD step and the Dykstra loop over them, which the
-# matrix-space affine map and the column-scaled PSD step replace.
+# affine map on chi.view(float) and the column-scaled PSD step replace.
 def ref_project_tp(chi):
-    M, Mp, b = tomography._tp_constraint()
-    x = tomography._params_from_chi(np.asarray(chi, dtype=complex))
-    return tomography._chi_from_params(x - Mp @ (M @ x - b))
+    M, Mp = ref_tp_constraint()
+    x = loop_params_from_chi(np.asarray(chi, dtype=complex))
+    return loop_chi_from_params(x - Mp @ (M @ x - TP_TARGET))
 
 
 def ref_project_psd(chi):
@@ -652,11 +698,18 @@ class TestProjectionOracle:
             chi = random_hermitian_chi(rng)
             # y + q inside the Dykstra loop is Hermitian only to rounding
             nearly = chi + 1e-15 * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-            # both maps read only the real diagonal and the upper triangle
-            lower = chi + np.tril(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), -1)
-            lower[np.diag_indices(9)] += 1j * rng.normal(size=9)
-            for x in (chi, nearly, lower):
+            for x in (chi, nearly):
                 assert np.abs(tomography.project_tp(x) - ref_project_tp(x)).max() < 1e-14
+
+    def test_project_tp_is_idempotent_and_commutes_with_adjoint(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            chi = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            once = tomography.project_tp(chi)
+            assert np.abs(tomography.tp_matrix(once) - np.eye(3)).max() < 1e-13
+            assert np.abs(tomography.project_tp(once) - once).max() < 1e-13
+            adjoint = tomography.project_tp(chi.conj().T)
+            assert np.abs(adjoint - once.conj().T).max() < 1e-13
 
     def test_project_psd_matches_reference(self):
         rng = np.random.default_rng(17)
@@ -698,13 +751,14 @@ class TestDesignCache:
 
     def test_equal_input_set_hits(self):
         info = tomography._cached_fit_design.cache_info
-        A, gram, step = tomography._fit_design(tomography.CANONICAL_KETS)
+        A, pinv, gram, step = tomography._fit_design(tomography.CANONICAL_KETS)
         hits = info().hits
         anew = [np.array(k, copy=True) for k in tomography.CANONICAL_KETS]
         again = tomography._fit_design(anew)
         assert info().hits == hits + 1
         assert np.array_equal(again[0], A)
         assert np.array_equal(A, tomography._design_operator(anew))
+        assert np.array_equal(pinv, np.linalg.pinv(A))
         assert np.array_equal(gram, A.T @ A)
         assert step == 1.0 / np.linalg.norm(A.T @ A, 2)
 
@@ -713,7 +767,7 @@ class TestDesignCache:
         tomography._fit_design(tomography.CANONICAL_KETS)
         misses = info().misses
         kets = self.random_kets(np.random.default_rng(19))
-        A, _, _ = tomography._fit_design(kets)
+        A, *_ = tomography._fit_design(kets)
         assert info().misses == misses + 1
         assert np.array_equal(A, tomography._design_operator(kets))
 
