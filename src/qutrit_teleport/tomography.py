@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import algebra, protocol
 from .errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
@@ -153,6 +152,9 @@ def _neg_loglik(t, c):
 
 
 def _mle(counts):
+    # imported here, so that runs without a state MLE do not load scipy
+    from scipy.optimize import minimize
+
     c = np.asarray(counts.counts, dtype=float)
     if c.sum() == 0:
         raise InsufficientDataError("all counts are zero")
@@ -385,30 +387,29 @@ def project_tp(chi):
 
 def project_psd(chi):
     chi = np.asarray(chi, dtype=complex)
-    chi = (chi + chi.conj().T) / 2
-    w, u = np.linalg.eigh(chi)
-    return (u * np.clip(w, 0.0, None)) @ u.conj().T
+    w, u = np.linalg.eigh((chi + chi.conj().T) / 2)
+    return (u * np.maximum(w, 0.0)) @ u.conj().T
 
 
 def project_physical(chi):
-    """Dykstra alternating projection onto PSD intersect TP."""
+    """Dykstra projection of the Hermitian part of chi onto PSD intersect TP.
+
+    The TP set is affine, so its step needs no correction (Boyle and Dykstra, 1986).
+    """
+    K, k = _tp_map()
     x = np.asarray(chi, dtype=complex)
+    x = (x + x.conj().T) / 2  # once: eigh reads only one triangle
     p = np.zeros_like(x)
-    q = np.zeros_like(x)
     for _ in range(DYKSTRA_MAX_ITER):
         xp = x + p
-        y = project_psd(xp)
+        w, u = np.linalg.eigh(xp)
+        y = (u * np.maximum(w, 0.0)) @ u.conj().T
         p = xp - y
-        yq = y + q
-        x_new = project_tp(yq)
-        q = yq - x_new
+        x_new = (K @ y.view(float).ravel() + k).view(complex).reshape(_N, _N)
         if np.abs(x_new - x).max() < DYKSTRA_TOL:
-            x = x_new
-            break
+            return x_new
         x = x_new
-    else:
-        raise SolverError("Dykstra projection did not converge")
-    return x
+    raise SolverError("Dykstra projection did not converge")
 
 
 @dataclass

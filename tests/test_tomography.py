@@ -650,8 +650,9 @@ def ref_tp_constraint():
 
 
 # Reference oracle for the chi projections: the parameter-space TP step, the
-# u diag(w) u^dagger PSD step and the Dykstra loop over them, which the
-# affine map on chi.view(float) and the column-scaled PSD step replace.
+# u diag(w) u^dagger PSD step and the Dykstra loop over them (both
+# corrections, a symmetrization every step), which the affine map on
+# chi.view(float), the column-scaled PSD step and one correction replace.
 def ref_project_tp(chi):
     M, Mp = ref_tp_constraint()
     x = loop_params_from_chi(np.asarray(chi, dtype=complex))
@@ -724,12 +725,41 @@ class TestProjectionOracle:
             diff = tomography.project_physical(chi) - ref_project_physical(chi)
             assert np.abs(diff).max() < 1e-12
 
+    def test_project_physical_of_non_hermitian_chi(self):
+        # eigh reads one triangle, so a non-Hermitian input must be
+        # symmetrized before the first PSD step
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            chi = tomography.noisy_model_chi() + 0.1 * (
+                rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            )
+            proj = tomography.project_physical(chi)
+            hermitian_part = tomography.project_physical((chi + chi.conj().T) / 2)
+            assert np.abs(proj - hermitian_part).max() < 1e-12
+            assert np.abs(proj - proj.conj().T).max() < 1e-13
+
     def test_published_fit_matches_reference(self, monkeypatch):
         fit = tomography.reconstruct_process(published_pairs())
         monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
         ref = tomography.reconstruct_process(published_pairs())
         assert fit.n_iterations == ref.n_iterations == 264
         assert np.abs(fit.chi - ref.chi).max() < 1e-12
+
+    def test_noisy_fits_match_reference(self, monkeypatch):
+        # six mc_errors-style draws at rate 150: the same FISTA steps and the
+        # same chi as with the reference Dykstra loop
+        inputs = dataset.reference_targets()[:9]
+        tables = list(mc_errors_counts(seed=5, trials=6))
+        pairs = [
+            list(zip(inputs, [tomography.reconstruct_state(t, "mle") for t in tables[i : i + 9]]))
+            for i in range(0, len(tables), 9)
+        ]
+        fits = [tomography.reconstruct_process(draw) for draw in pairs]
+        monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
+        for draw, fit in zip(pairs, fits):
+            ref = tomography.reconstruct_process(draw)
+            assert fit.n_iterations == ref.n_iterations
+            assert np.abs(fit.chi - ref.chi).max() < 1e-12
 
     def test_fit_projects_through_module_attribute(self, monkeypatch):
         # perfbench --trace 1 times the Dykstra layer by wrapping this attribute
