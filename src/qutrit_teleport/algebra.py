@@ -156,17 +156,23 @@ MUB_KETS = _read_only(
 
 
 def fidelity(rho, target):
-    """<target| rho |target> for a density matrix and a pure target state."""
+    """<target| rho |target> for a density matrix and a pure target state.
+
+    ``rho`` (..., 3, 3) and ``target`` (..., 3) broadcast over their
+    leading axes, so a stack gives the same bits as its pairs one by one;
+    one pair gives a float.
+    """
     rho = np.asarray(rho, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    if rho.shape[0] != target.shape[0]:
+    if rho.shape[-1] != target.shape[-1]:
         raise DimensionError(
-            f"dim mismatch: rho {rho.shape[0]} vs target {target.shape[0]}"
+            f"dim mismatch: rho {rho.shape[-1]} vs target {target.shape[-1]}"
         )
-    val = target.conj() @ rho @ target
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"fidelity has a non-negligible imaginary part: {val.imag}")
-    return float(val.real)
+    val = (target.conj()[..., None, :] @ rho @ target[..., :, None])[..., 0, 0]
+    worst = val.imag.flat[np.abs(val.imag).argmax()]
+    if abs(worst) > 1e-9:
+        raise ValueError(f"fidelity has a non-negligible imaginary part: {worst}")
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 def bloch_vector(rho):

@@ -6,7 +6,9 @@ depend on execution order.
 
 ``poisson_resample`` excludes and counts the trials it cannot estimate;
 the design and convergence studies stop at the first one instead (the CLI
-exits 4). One shared loop would have to branch on its caller.
+exits 4). One shared loop would have to branch on its caller. The design
+study draws every trial's counts before it estimates anything, then
+raises at its first bad trial.
 """
 
 from __future__ import annotations
@@ -73,32 +75,34 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     )
 
 
-def counts_for_state(rho, rate, rng):
-    """Simulate one tomography run of a state at the given counting rate.
+def _poisson_means(rho, rate):
+    """Poisson means (..., 9) of one tomography run per state, over rho's leading axes.
 
-    ``rate`` is the expected total count over all nine settings; the
-    exposure is split accordingly.
+    ``rate`` is the expected total count over all nine settings of each
+    state; the exposure is split accordingly.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
     probs = np.clip(tomography.born_probabilities(rho), 0.0, None)
-    return tomography.CountsTable(rng.poisson(float(rate) / probs.sum() * probs))
+    return float(rate) / probs.sum(axis=-1, keepdims=True) * probs
 
 
-def _fit_channel(chi_true, input_states, rate, rng, estimator="mle"):
-    """Simulate tomography of each output and refit the process matrix.
+def counts_for_state(rho, rate, rng):
+    """Simulate one tomography run of a state at the given counting rate.
 
-    estimator 'mle' uses maximum-likelihood states and the constrained
-    (PSD + trace-preserving) chi fit; 'linear' uses linear inversion and
-    the unconstrained least-squares chi, which is linear in the counts
-    and hence unbiased under Poisson noise.
+    ``rate`` is the expected total count over all nine settings.
     """
-    outs = tomography.apply_process(chi_true, algebra.projector(input_states), repair=True)
-    pairs = []
-    for phi, rho_out in zip(input_states, outs):
-        counts = counts_for_state(rho_out, rate, rng)
-        pairs.append((phi, tomography.reconstruct_state(counts, estimator)))
-    return tomography.reconstruct_process(pairs, physical=(estimator == "mle")).chi
+    return tomography.CountsTable(rng.poisson(_poisson_means(rho, rate)))
+
+
+def _fit_channel(inputs, counts):
+    """Refit chi from counts (n, 9) of each input's output.
+
+    Maximum-likelihood states, then the constrained (PSD +
+    trace-preserving) chi fit.
+    """
+    states = [tomography.reconstruct_state(tomography.CountsTable(c), "mle") for c in counts]
+    return tomography.reconstruct_process(list(zip(inputs, states))).chi
 
 
 # Each convergence statistic scores a stack of probe states after the channel,
@@ -140,9 +144,11 @@ def convergence_study(
     if not grid or min(grid) < 1:
         raise ValueError("grid needs at least one probe state per point")
     inputs = tomography.CANONICAL_KETS
+    truth = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
+    means = _poisson_means(truth, rate)
     values = np.zeros((trials, len(grid)))
     for t, rng in enumerate(trial_rngs(seed, trials)):
-        chi_hat = _fit_channel(chi, inputs, rate, rng)
+        chi_hat = _fit_channel(inputs, rng.poisson(means))
         for g, n in enumerate(grid):
             probes = [algebra.random_pure_state(rng) for _ in range(n)]
             outs = tomography.apply_process(chi_hat, algebra.projector(probes), repair=True)
@@ -162,20 +168,30 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     MUB inputs or the nine canonical tomography inputs, then scores the
     mean fidelity of the twelve MUB states through the fitted channel.
 
-    The default 'linear' estimator chain is unbiased (every step linear
-    in the counts), so the trial means sit at the true value; the 'mle'
-    chain is physical but noticeably biased low at low counting rates.
+    The default 'linear' estimator chain (linear inversion, then the
+    unconstrained least-squares chi) is unbiased, every step being linear
+    in the counts, so the trial means sit at the true value; it runs as
+    array work over all trials. The 'mle' chain (maximum-likelihood
+    states, then the constrained chi fit, one trial at a time) is
+    physical but noticeably biased low at low counting rates.
     """
     _check_trials(trials)
+    if estimator not in ("linear", "mle"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     chi_true = tomography.noisy_model_chi()
-    res = {"mub": [], "nonmub": []}
-    for rng in trial_rngs(seed, trials):
-        for key, inputs in (("mub", algebra.MUB_KETS), ("nonmub", tomography.CANONICAL_KETS)):
-            chi_hat = _fit_channel(chi_true, inputs, rate, rng, estimator=estimator)
-            _, mean_f = tomography.mub_fidelities(chi_hat, repair=(estimator == "mle"))
-            res[key].append(mean_f)
-    mub = np.array(res["mub"])
-    nonmub = np.array(res["nonmub"])
+    designs = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
+    outs = [tomography.apply_process(chi_true, algebra.projector(k), repair=True) for k in designs]
+    means = [_poisson_means(o, rate) for o in outs]
+    # each trial draws its MUB counts, then its canonical ones
+    draws = [[rng.poisson(m) for m in means] for rng in trial_rngs(seed, trials)]
+    scores = []
+    for kets, counts in zip(designs, zip(*draws)):
+        if estimator == "linear":
+            chis = tomography.linear_process_fit(kets, counts)
+        else:
+            chis = [_fit_channel(kets, c) for c in counts]
+        scores.append(tomography.mub_fidelities(chis, repair=(estimator == "mle"))[1])
+    mub, nonmub = scores
     return {
         "mean_mub": float(mub.mean()),
         "err_mub": float(mub.std(ddof=1)),

@@ -62,8 +62,8 @@ class CountsTable:
 
 
 def born_probabilities(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([algebra.fidelity(rho, psi) for psi in CANONICAL_KETS])
+    """<psi_i|rho|psi_i> of the nine settings, shape (..., 9) over rho's leading axes."""
+    return algebra.fidelity(np.asarray(rho, dtype=complex)[..., None, :, :], CANONICAL_KETS)
 
 
 def simulate_counts(rho, exposure, rng):
@@ -74,19 +74,21 @@ def simulate_counts(rho, exposure, rng):
 
 
 def _linear_inversion(counts):
-    c = np.asarray(counts.counts, dtype=float)
-    basis_total = c[:3].sum()
-    if basis_total == 0:
+    """Estimates (..., 3, 3) from counts (..., 9), each on its own."""
+    c = np.asarray(counts, dtype=float)
+    basis_total = c[..., :3].sum(axis=-1, keepdims=True)
+    if (basis_total == 0).any():
         raise InsufficientDataError("basis-projector counts are all zero")
     p = c / basis_total  # diagonal normalized to the basis-triple sum
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2] = p[0], p[1], p[2]
+    rho = np.zeros(c.shape[:-1] + (3, 3), dtype=complex)
+    for j in range(3):
+        rho[..., j, j] = p[..., j]
     for (j, k), (i_re, i_im) in {(0, 1): (3, 4), (0, 2): (5, 6), (1, 2): (7, 8)}.items():
-        half = 0.5 * (p[j] + p[k])
-        re = p[i_re] - half
-        im = half - p[i_im]
-        rho[j, k] = re + 1j * im
-        rho[k, j] = re - 1j * im
+        half = 0.5 * (p[..., j] + p[..., k])
+        re = p[..., i_re] - half
+        im = half - p[..., i_im]
+        rho[..., j, k] = re + 1j * im
+        rho[..., k, j] = re - 1j * im
     return rho
 
 
@@ -170,7 +172,7 @@ def _mle(counts):
         return f[0], (f[1:] - f[0]) / (stepped - x)
 
     # linear inversion needs the basis counts; without them the seed is I/3
-    t0 = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(counts))
+    t0 = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(c))
     # one call per point, so maxfun 1500 stops where scipy's own difference
     # (ten evaluations per point) stops against its default of 15000
     res = minimize(
@@ -191,7 +193,7 @@ def reconstruct_state(counts, method="mle"):
     possibly indefinite); the MLE result is PSD and trace 1 by construction.
     """
     if method == "linear":
-        return _linear_inversion(counts)
+        return _linear_inversion(counts.counts)
     if method == "mle":
         return _mle(counts)
     raise ValueError(f"unknown method {method!r}")
@@ -257,18 +259,19 @@ def _liouville(chi):
 
 
 def apply_process(chi, rho, repair=False):
-    """rho_out = sum_lk chi_lk sigma_l rho sigma_k, over rho's leading axes.
+    """rho_out = sum_lk chi_lk sigma_l rho sigma_k, broadcast over the leading axes.
 
-    chi enters as its Liouville matrix, so each state is one
-    matrix-vector product and a stack gives the same bits as its states
-    one by one.
+    chi (..., 9, 9) enters as its Liouville matrix, so each pair is one
+    matrix-vector product, and stacks of chi's and states give the same
+    bits as their pairs one by one.
 
     With ``repair`` the output is symmetrized, eigenvalue-clipped and
     trace-renormalized; use it when chi is only approximately physical.
     """
     chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    out = (_liouville(chi) @ rho.reshape(rho.shape[:-2] + (_N, 1))).reshape(rho.shape)
+    out = _liouville(chi) @ rho.reshape(rho.shape[:-2] + (_N, 1))
+    out = out.reshape(out.shape[:-2] + (3, 3))
     if repair:
         out, _ = repair_density_matrix(out)
     return out
@@ -316,12 +319,17 @@ def average_fidelity_from_process(f_process):
 
 
 def mub_fidelities(chi, repair=False):
-    """Fidelities of the twelve MUB states through the channel, plus mean."""
+    """Fidelities (..., 12) of the twelve MUB states through chi (..., 9, 9), plus their mean.
+
+    The mean is a float for one chi and an array over a stack.
+    """
     kets = algebra.MUB_KETS
-    outs = apply_process(chi, algebra.projector(kets), repair=repair)
+    chi = np.asarray(chi, dtype=complex)
+    outs = apply_process(chi[..., None, :, :], algebra.projector(kets), repair=repair)
     outs = (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
-    fids = np.array([algebra.fidelity(out, psi) for out, psi in zip(outs, kets)])
-    return fids, float(np.mean(fids))
+    fids = algebra.fidelity(outs, kets)
+    mean = fids.mean(axis=-1)
+    return fids, float(mean) if mean.ndim == 0 else mean
 
 
 # --- chi reconstruction ---------------------------------------------------
@@ -340,6 +348,35 @@ def _design_operator(inputs):
     """Real (18 n, 162) matrix mapping chi.view(float) to the stacked output entries."""
     rhos = algebra.projector(inputs).reshape(-1, _N, 1)
     return _real_rows((_liouville(_UNIT_CHIS)[:, np.newaxis] @ rhos)[..., 0])
+
+
+def _output_vector(outputs):
+    """Outputs (..., n, 3, 3) -> the data vectors (..., 18 n) that A maps chi onto."""
+    stacked = np.stack([outputs.real, outputs.imag], axis=-3)
+    return stacked.reshape(outputs.shape[:-3] + (-1,))
+
+
+def _least_squares(pinv, b):
+    """The Hermitian part of the unconstrained fit A^+ b, over b's leading axes."""
+    chi = (pinv @ b[..., None])[..., 0].view(complex).reshape(b.shape[:-1] + (_N, _N))
+    return (chi + np.swapaxes(chi.conj(), -1, -2)) / 2
+
+
+def linear_process_fit(inputs, counts):
+    """The linear chi estimator on counts (..., n, 9) of the outputs of n inputs.
+
+    Linear inversion of each output, then the unconstrained least-squares
+    chi (..., 9, 9). Every step is linear in the counts, so the estimate
+    is unbiased under Poisson noise; it is Hermitian but need not be PSD
+    or TP. A stack of count sets gives the same bits as its sets one by
+    one.
+    """
+    kets = np.asarray(inputs, dtype=complex)
+    counts = np.asarray(counts)
+    if kets.ndim != 2 or counts.shape[-2:] != (len(kets), 9):
+        raise DimensionError(f"expected counts (..., {len(kets)}, 9), got {counts.shape}")
+    _, pinv, _, _ = _fit_design(kets)
+    return _least_squares(pinv, _output_vector(_linear_inversion(counts)))
 
 
 def _fit_design(inputs):
@@ -424,7 +461,7 @@ class ProcessFit:
 _STEP_WEIGHT = (np.where(np.eye(_N, dtype=bool), 1, math.sqrt(2)) * (1 + 1j)).view(float).ravel()
 
 
-def reconstruct_process(pairs, physical=True):
+def reconstruct_process(pairs):
     """Least-squares chi under PSD and trace-preservation constraints.
 
     ``pairs`` is a list of at least nine (input pure state, output 3x3
@@ -432,11 +469,9 @@ def reconstruct_process(pairs, physical=True):
     gradient descent on chi.view(float), with Dykstra alternating
     projection onto the PSD cone and the TP affine subspace as the
     projection step. Returns a ProcessFit with the Hermitian part of the
-    final iterate and its residual.
-
-    With ``physical=False`` the constraints are dropped and the plain
-    least-squares (Hermitian) solution is returned; that estimator is
-    linear in the data and therefore unbiased under Poisson noise.
+    final iterate and its residual. FISTA starts from the projected
+    unconstrained least-squares chi, the fit that ``linear_process_fit``
+    makes after its linear inversion.
     """
     if len(pairs) < _N:
         raise IllPosedError(f"need at least {_N} input/output pairs, got {len(pairs)}")
@@ -449,31 +484,28 @@ def reconstruct_process(pairs, physical=True):
         raise ValueError("output matrices have non-finite entries")
 
     A, pinv, gram, step = _fit_design(inputs)
-    b = np.stack([outputs.real, outputs.imag], axis=1).ravel()
+    b = _output_vector(outputs)
     atb = A.T @ b
 
     def proj(v):
         return project_physical(v.view(complex).reshape(_N, _N)).view(float).ravel()
 
-    # FISTA from the projected unconstrained interpolant.
-    x = pinv @ b
-    n_iterations = 0
-    if physical:
-        x = proj(x)
-        z, t_mom = x.copy(), 1.0
-        prev = np.inf
-        for n_iterations in range(1, FIT_MAX_ITER + 1):
-            x_new = proj(z - step * (gram @ z - atb))
-            t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
-            z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
-            obj = float(np.sum((A @ x_new - b) ** 2))
-            moved = np.abs(_STEP_WEIGHT * (x_new - x)).max()
-            x, t_mom = x_new, t_new
-            if moved < FIT_TOL and abs(prev - obj) < FIT_TOL * max(1.0, obj):
-                break
-            prev = obj
-        else:
-            raise SolverError("projected gradient did not converge")
+    # FISTA from the projected unconstrained fit.
+    x = project_physical(_least_squares(pinv, b)).view(float).ravel()
+    z, t_mom = x.copy(), 1.0
+    prev = np.inf
+    for n_iterations in range(1, FIT_MAX_ITER + 1):
+        x_new = proj(z - step * (gram @ z - atb))
+        t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
+        z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
+        obj = float(np.sum((A @ x_new - b) ** 2))
+        moved = np.abs(_STEP_WEIGHT * (x_new - x)).max()
+        x, t_mom = x_new, t_new
+        if moved < FIT_TOL and abs(prev - obj) < FIT_TOL * max(1.0, obj):
+            break
+        prev = obj
+    else:
+        raise SolverError("projected gradient did not converge")
     chi = x.view(complex).reshape(_N, _N)
     chi = (chi + chi.conj().T) / 2
     residual = float(np.sum((A @ chi.view(float).ravel() - b) ** 2))
@@ -524,6 +556,7 @@ __all__ = [
     "process_fidelity",
     "average_fidelity_from_process",
     "mub_fidelities",
+    "linear_process_fit",
     "reconstruct_process",
     "ProcessFit",
     "project_tp",

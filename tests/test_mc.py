@@ -19,12 +19,13 @@ def fidelity_statistic(target):
 
 @pytest.fixture
 def no_fit(monkeypatch):
-    """Fails the test if a study starts a channel fit."""
+    """Fails the test if a study starts a channel fit, MLE or linear."""
 
     def fit(*args, **kwargs):
         raise AssertionError("channel fit started")
 
     monkeypatch.setattr(mc, "_fit_channel", fit)
+    monkeypatch.setattr(tomography, "linear_process_fit", fit)
 
 
 @pytest.mark.parametrize(
@@ -33,6 +34,21 @@ def no_fit(monkeypatch):
 def test_studies_need_two_trials(study, no_fit):
     with pytest.raises(ValueError, match="at least 2 trials"):
         study(trials=1)
+
+
+def test_no_fit_trips_on_both_design_study_chains(no_fit):
+    for estimator in ("linear", "mle"):
+        with pytest.raises(AssertionError, match="channel fit started"):
+            mc.mub_design_study(trials=2, estimator=estimator)
+
+
+def test_unknown_estimator_rejected_before_any_draw(no_fit, monkeypatch):
+    def draws(*args, **kwargs):
+        raise AssertionError("counts drawn")
+
+    monkeypatch.setattr(mc, "trial_rngs", draws)
+    with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+        mc.mub_design_study(trials=2, estimator="bogus")
 
 
 class TestTrialRngs:
@@ -188,8 +204,12 @@ def test_stacked_states_match_one_at_a_time(study, monkeypatch):
     apply_process, robustness_mu = tomography.apply_process, certify.robustness_mu
 
     def apply_each(chi, rho, repair=False):
-        outs = [apply_process(chi, r, repair) for r in np.reshape(rho, (-1, 3, 3))]
-        return np.reshape(outs, np.shape(rho))
+        # one chi and one state per call, over the broadcast leading axes
+        lead = np.broadcast_shapes(np.shape(chi)[:-2], np.shape(rho)[:-2])
+        chis = np.broadcast_to(chi, lead + (9, 9)).reshape(-1, 9, 9)
+        rhos = np.broadcast_to(rho, lead + (3, 3)).reshape(-1, 3, 3)
+        outs = [apply_process(c, r, repair) for c, r in zip(chis, rhos)]
+        return np.reshape(outs, lead + (3, 3))
 
     def mu_each(rho):
         return np.array([robustness_mu(r) for r in np.reshape(rho, (-1, 3, 3))])
@@ -202,6 +222,130 @@ def test_stacked_states_match_one_at_a_time(study, monkeypatch):
     else:
         assert np.array_equal(stacked.errors, one_at_a_time.errors)
         assert stacked.converged_value == one_at_a_time.converged_value
+
+
+def ref_linear_inversion(counts):
+    """The one-table linear inversion, kept as the oracle of the stacked one."""
+    c = np.asarray(counts.counts, dtype=float)
+    basis_total = c[:3].sum()
+    if basis_total == 0:
+        raise InsufficientDataError("basis-projector counts are all zero")
+    p = c / basis_total
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2] = p[0], p[1], p[2]
+    for (j, k), (i_re, i_im) in {(0, 1): (3, 4), (0, 2): (5, 6), (1, 2): (7, 8)}.items():
+        half = 0.5 * (p[j] + p[k])
+        re = p[i_re] - half
+        im = half - p[i_im]
+        rho[j, k] = re + 1j * im
+        rho[k, j] = re - 1j * im
+    return rho
+
+
+def ref_unconstrained_chi(pairs):
+    """A^+ b for one set of (input, output) pairs, Hermitian part."""
+    outputs = np.array([rho for _, rho in pairs])
+    b = np.stack([outputs.real, outputs.imag], axis=1).ravel()
+    chi = (tomography._fit_design([phi for phi, _ in pairs])[1] @ b).view(complex).reshape(9, 9)
+    return (chi + chi.conj().T) / 2
+
+
+def ref_mub_design_study(rate, trials, seed, estimator):
+    """The design study one trial, one state and one chi at a time.
+
+    Each trial draws each input's nine counts from per-ket Born
+    probabilities and estimates its state, fits chi (the constrained fit
+    for 'mle', A^+ b for 'linear'), then scores that one chi.
+    """
+    chi_true = tomography.noisy_model_chi()
+    res = {"mub": [], "nonmub": []}
+    for rng in mc.trial_rngs(seed, trials):
+        for key, inputs in (("mub", algebra.MUB_KETS), ("nonmub", tomography.CANONICAL_KETS)):
+            outs = tomography.apply_process(chi_true, algebra.projector(inputs), repair=True)
+            pairs = []
+            for phi, rho_out in zip(inputs, outs):
+                probs = [algebra.fidelity(rho_out, psi) for psi in tomography.CANONICAL_KETS]
+                probs = np.clip(probs, 0.0, None)
+                counts = tomography.CountsTable(rng.poisson(float(rate) / probs.sum() * probs))
+                if estimator == "mle":
+                    pairs.append((phi, tomography.reconstruct_state(counts, "mle")))
+                else:
+                    pairs.append((phi, ref_linear_inversion(counts)))
+            if estimator == "mle":
+                chi_hat = tomography.reconstruct_process(pairs).chi
+            else:
+                chi_hat = ref_unconstrained_chi(pairs)
+            _, mean_f = tomography.mub_fidelities(chi_hat, repair=(estimator == "mle"))
+            res[key].append(mean_f)
+    mub, nonmub = np.array(res["mub"]), np.array(res["nonmub"])
+    return {
+        "mean_mub": float(mub.mean()),
+        "err_mub": float(mub.std(ddof=1)),
+        "mean_nonmub": float(nonmub.mean()),
+        "err_nonmub": float(nonmub.std(ddof=1)),
+    }
+
+
+def study_outcome(study, **kwargs):
+    """The result dict, or the type and message of the error raised."""
+    try:
+        return study(**kwargs)
+    except (InsufficientDataError, IllPosedError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_study_matches_oracle(**kwargs):
+    assert study_outcome(mc.mub_design_study, **kwargs) == study_outcome(
+        ref_mub_design_study, **kwargs
+    )
+
+
+@pytest.fixture
+def quick_mle(monkeypatch):
+    """Cheap stand-ins for the per-state MLE and the constrained chi fit.
+
+    Deterministic functions of the data, so the MLE chain's draws, pairing
+    and stacked scoring can be checked over 100 trials in both runs.
+    """
+
+    def state(counts, method="mle"):
+        return ref_linear_inversion(counts)
+
+    def fit(pairs):
+        return tomography.ProcessFit(chi=ref_unconstrained_chi(pairs), residual=0.0, n_iterations=0)
+
+    monkeypatch.setattr(tomography, "reconstruct_state", state)
+    monkeypatch.setattr(tomography, "reconstruct_process", fit)
+
+
+STUDY_GRID = [
+    (rate, trials, seed) for rate in (37.5, 150, 2000) for trials in (2, 7, 100) for seed in (0, 1, 9)
+]
+
+
+class TestDesignStudyOracle:
+    """The stacked design study equals the one-trial-at-a-time loop, bit for bit."""
+
+    # at rate 1 some state has no basis counts: the same error (CLI exit 4)
+    @pytest.mark.parametrize("rate, trials, seed", STUDY_GRID + [(1, 2, 0)])
+    def test_linear(self, rate, trials, seed):
+        assert_study_matches_oracle(rate=rate, trials=trials, seed=seed, estimator="linear")
+
+    @pytest.mark.parametrize("rate, trials, seed", STUDY_GRID)
+    def test_mle_chain_with_quick_fits(self, rate, trials, seed, quick_mle):
+        assert_study_matches_oracle(rate=rate, trials=trials, seed=seed, estimator="mle")
+
+    def test_mle(self):
+        # the real fits, at the rate where the MLE chain is most biased
+        assert_study_matches_oracle(rate=37.5, trials=2, seed=0, estimator="mle")
+
+    def test_linear_inversion_stack_equals_tables(self):
+        rng = np.random.default_rng(4)
+        counts = rng.poisson(20.0, size=(5, 12, 9))
+        stacked = tomography._linear_inversion(counts)
+        for c, rho in zip(counts.reshape(-1, 9), stacked.reshape(-1, 3, 3)):
+            ref = ref_linear_inversion(tomography.CountsTable(c))
+            assert rho.tobytes() == ref.tobytes()
 
 
 class TestMubDesignStudy:

@@ -162,7 +162,7 @@ def ref_mle(counts):
         lam = s * p
         return float(np.sum(lam - c * np.log(lam)))
 
-    t0 = tomography._rho_to_t(tomography._linear_inversion(counts))
+    t0 = tomography._rho_to_t(tomography._linear_inversion(counts.counts))
     res = minimize(neg_loglik, t0, method="L-BFGS-B", options={"ftol": 1e-14, "gtol": 1e-10})
     return ref_t_to_rho(res.x), res
 
@@ -185,6 +185,34 @@ def teleport_tomography_counts(seed=3):
     for k in range(30):
         rho, _ = optics.run_teleportation(inputs[k % 10], visibility=TELEPORT_MODELS[k // 10])
         yield tomography.simulate_counts(rho, 150.0, np.random.default_rng([seed, k]))
+
+
+class TestBornProbabilities:
+    def test_stack_equals_per_ket_fidelity_on_optics_states(self):
+        inputs = protocol.benchmark_input_states()
+        rhos = np.array(
+            [
+                optics.run_teleportation(inputs[k % 10], visibility=TELEPORT_MODELS[k // 10])[0]
+                for k in range(30)
+            ]
+        )
+        stacked = tomography.born_probabilities(rhos.reshape(3, 10, 3, 3))
+        per_ket = [[algebra.fidelity(rho, psi) for psi in tomography.CANONICAL_KETS] for rho in rhos]
+        assert stacked.shape == (3, 10, 9)
+        assert np.array_equal(stacked.reshape(30, 9), per_ket)
+        # exact zeros stay exact: a zero Poisson mean draws no random number
+        assert (stacked == 0).sum() == 54
+        assert np.array_equal(stacked == 0, np.equal(per_ket, 0).reshape(3, 10, 9))
+
+    def test_stack_rejects_a_complex_probability(self):
+        rhos = np.array([np.eye(3) / 3, np.eye(3) / 3], dtype=complex)
+        rhos[1, 0, 0] += 1e-6j
+        with pytest.raises(ValueError, match="non-negligible imaginary part"):
+            tomography.born_probabilities(rhos)
+
+    def test_stack_rejects_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            tomography.born_probabilities(np.array([np.eye(2) / 2] * 3))
 
 
 def mc_errors_counts(seed=0, trials=10):
@@ -368,6 +396,29 @@ class TestLiouvilleApply:
             single = tomography.apply_process(chi, algebra.projector(psi), repair=True)
             assert np.array_equal(out, single)
 
+    def test_chi_stack_equals_one_chi_at_a_time(self):
+        rng = np.random.default_rng(24)
+        chis = np.array([random_hermitian_chi(rng) for _ in range(6)]).reshape(2, 3, 1, 9, 9)
+        rhos = np.array([random_density_matrix(rng) for _ in range(4)])
+        for repair in (False, True):
+            stacked = tomography.apply_process(chis, rhos, repair=repair)
+            assert stacked.shape == (2, 3, 4, 3, 3)
+            for chi, outs in zip(chis.reshape(6, 9, 9), stacked.reshape(6, 4, 3, 3)):
+                for rho, out in zip(rhos, outs):
+                    single = tomography.apply_process(chi, rho, repair=repair)
+                    assert np.array_equal(out, single)
+
+    def test_mub_fidelities_of_chi_stack_equal_one_chi_at_a_time(self):
+        rng = np.random.default_rng(25)
+        chis = np.array([random_hermitian_chi(rng) for _ in range(6)]).reshape(2, 3, 9, 9)
+        for repair in (False, True):
+            fids, means = tomography.mub_fidelities(chis, repair=repair)
+            assert fids.shape == (2, 3, 12) and means.shape == (2, 3)
+            for chi, f, mean in zip(chis.reshape(6, 9, 9), fids.reshape(6, 12), means.ravel()):
+                single_fids, single_mean = tomography.mub_fidelities(chi, repair=repair)
+                assert np.array_equal(f, single_fids)
+                assert mean == single_mean and type(single_mean) is float
+
     def test_mub_fidelities_equal_per_state_loop(self):
         chi = random_hermitian_chi(np.random.default_rng(20))
         for repair in (False, True):
@@ -469,11 +520,27 @@ class TestProcessReconstruction:
         assert np.abs(tomography.apply_process(chi, rho) - channel(rho)).max() < 1e-9
 
     def test_unconstrained_fit_is_exact_interpolant(self):
+        # exact Born probabilities in place of counts: linear inversion
+        # returns the outputs, and the least-squares chi the channel
         rng = np.random.default_rng(11)
         chi = random_physical_chi(rng)
-        fit = tomography.reconstruct_process(self.make_pairs(chi), physical=False)
-        assert np.abs(fit.chi - chi).max() < 1e-8
-        assert fit.n_iterations == 0
+        for inputs in (tomography.CANONICAL_KETS, algebra.MUB_KETS):
+            outs = [out for _, out in self.make_pairs(chi, inputs)]
+            fit = tomography.linear_process_fit(inputs, tomography.born_probabilities(outs))
+            assert np.abs(fit - chi).max() < 1e-8
+
+    def test_linear_fit_of_a_stack_equals_one_set_at_a_time(self):
+        rng = np.random.default_rng(26)
+        for inputs in (tomography.CANONICAL_KETS, algebra.MUB_KETS):
+            counts = rng.poisson(30.0, size=(4, 5, len(inputs), 9))
+            stacked = tomography.linear_process_fit(inputs, counts)
+            assert stacked.shape == (4, 5, 9, 9)
+            for c, chi in zip(counts.reshape(20, len(inputs), 9), stacked.reshape(20, 9, 9)):
+                assert np.array_equal(chi, tomography.linear_process_fit(inputs, c))
+
+    def test_linear_fit_rejects_mismatched_counts(self):
+        with pytest.raises(DimensionError, match="expected counts"):
+            tomography.linear_process_fit(algebra.MUB_KETS, np.ones((2, 9, 9)))
 
     def test_mub_inputs_also_well_posed(self):
         chi = tomography.noisy_model_chi()
@@ -500,13 +567,18 @@ class TestProcessReconstruction:
 
     @pytest.mark.parametrize("physical", [True, False])
     def test_fit_chi_is_exactly_hermitian(self, physical):
-        # outputs with non-Hermitian noise, so the float-view iterate is not
+        # noisy data, so the float-view iterate is Hermitian only to rounding
         rng = np.random.default_rng(21)
-        pairs = [
-            (phi, out + 0.02 * rng.normal(size=(3, 3)))
-            for phi, out in self.make_pairs(tomography.noisy_model_chi())
-        ]
-        chi = tomography.reconstruct_process(pairs, physical=physical).chi
+        if physical:
+            pairs = [
+                (phi, out + 0.02 * rng.normal(size=(3, 3)))
+                for phi, out in self.make_pairs(tomography.noisy_model_chi())
+            ]
+            chi = tomography.reconstruct_process(pairs).chi
+        else:
+            chi = tomography.linear_process_fit(
+                algebra.MUB_KETS, rng.poisson(30.0, size=(12, 9))
+            )
         assert np.array_equal(chi, chi.conj().T)
 
     def test_iterations_on_mc_errors_draws(self):
@@ -549,7 +621,8 @@ class TestProcessReconstruction:
 
 # Reference oracle for the isometric Hermitian parameters of the chi fit
 # (81 reals, off-diagonal parts carrying sqrt(2)): the element-by-element
-# loops, kept for the parameter-space TP projection below.
+# loops are the definition; the parameter-space TP projection below uses
+# them probed into matrices.
 SQRT2 = math.sqrt(2.0)
 
 
@@ -643,6 +716,28 @@ class TestParameterMaps:
 
 
 @functools.cache
+def ref_param_maps():
+    """``loop_params_from_chi`` (81 x 162) and ``loop_chi_from_params``
+    (162 x 81) as real matrices on chi.view(float), probed once."""
+    to_params = np.array([loop_params_from_chi(chi) for chi in unit_chis()]).T
+    from_params = np.array([loop_chi_from_params(e).view(float).ravel() for e in np.eye(81)]).T
+    return to_params, from_params
+
+
+class TestProbedParameterMaps:
+    def test_probed_maps_reproduce_loops(self):
+        to_params, from_params = ref_param_maps()
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            chi = random_hermitian_chi(rng)
+            x = to_params @ chi.view(float).ravel()
+            assert np.abs(x - loop_params_from_chi(chi)).max() < 1e-15
+            params = rng.normal(size=81)
+            chi_back = (from_params @ params).view(complex).reshape(9, 9)
+            assert np.abs(chi_back - loop_chi_from_params(params)).max() < 1e-15
+
+
+@functools.cache
 def ref_tp_constraint():
     """TP rows M on the 81 parameters and their pseudo-inverse."""
     M = probed_tp_rows([loop_chi_from_params(e) for e in np.eye(81)])
@@ -655,8 +750,9 @@ def ref_tp_constraint():
 # chi.view(float), the column-scaled PSD step and one correction replace.
 def ref_project_tp(chi):
     M, Mp = ref_tp_constraint()
-    x = loop_params_from_chi(np.asarray(chi, dtype=complex))
-    return loop_chi_from_params(x - Mp @ (M @ x - TP_TARGET))
+    to_params, from_params = ref_param_maps()
+    x = to_params @ np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
+    return (from_params @ (x - Mp @ (M @ x - TP_TARGET))).view(complex).reshape(9, 9)
 
 
 def ref_project_psd(chi):
