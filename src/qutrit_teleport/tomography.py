@@ -31,6 +31,10 @@ DYKSTRA_TOL = 1e-9
 DYKSTRA_MAX_ITER = 20000
 FIT_TOL = 1e-9
 FIT_MAX_ITER = 20000
+# The state MLE's cap on L-BFGS-B likelihood calls, SolverError when reached.
+# Each call is one stacked point, so 1500 stops where scipy's own difference
+# (ten scalar calls per point) stops against its default of 15000.
+MLE_MAX_FUN = 1500
 
 
 # The nine tomography projectors in measurement order, read-only, shape
@@ -92,22 +96,27 @@ def _linear_inversion(counts):
     return rho
 
 
+# Where a factor's nine reals sit in the float view of its 3x3 T: the
+# diagonal, then Re and Im of T[1, 0], T[2, 0] and T[2, 1]
+_T_SLOTS = np.array([0, 8, 16, 6, 7, 12, 13, 14, 15])
+
+
 def _t_to_rho(t):
     """Lower-triangular Cholesky-like factors (n, 9 reals) -> density matrices (n, 3, 3).
 
     A factor with a zero trace maps to I/3.
     """
     t = np.asarray(t, dtype=float)
-    T = np.zeros((len(t), 3, 3), dtype=complex)
-    T[:, 0, 0], T[:, 1, 1], T[:, 2, 2] = t[:, 0], t[:, 1], t[:, 2]
-    T[:, 1, 0] = t[:, 3] + 1j * t[:, 4]
-    T[:, 2, 0] = t[:, 5] + 1j * t[:, 6]
-    T[:, 2, 1] = t[:, 7] + 1j * t[:, 8]
-    rho = np.swapaxes(T.conj(), -1, -2) @ T
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    T = np.zeros((len(t), 18))
+    T[:, _T_SLOTS] = t
+    T = T.view(complex).reshape(-1, 3, 3)
+    rho = T.conj().transpose(0, 2, 1) @ T
+    tr = rho.trace(axis1=1, axis2=2).real
     empty = tr <= 0
-    rho[empty], tr[empty] = np.eye(3) / 3.0, 1.0
-    return rho / tr[:, None, None]
+    if empty.any():
+        rho[empty], tr[empty] = np.eye(3) / 3.0, 1.0
+    rho /= tr[:, None, None]
+    return rho
 
 
 def _rho_to_t(rho):
@@ -147,10 +156,10 @@ _FD_REL_STEP = np.finfo(float).eps ** 0.5
 def _neg_loglik(t, c):
     """Poisson negative log-likelihood (n,) of factors t (n, 9) for counts c."""
     p = np.einsum("ij,njk,ik->ni", _KETS_CONJ, _t_to_rho(t), CANONICAL_KETS).real
-    p = np.clip(p, 1e-12, None)
+    p = np.maximum(p, 1e-12)
     # analytic optimal exposure scale: s = sum(n) / sum(p)
-    lam = (c.sum() / p.sum(axis=-1))[:, None] * p
-    return np.sum(lam - c * np.log(lam), axis=-1)
+    lam = c.sum() / p.sum(axis=-1, keepdims=True) * p
+    return (lam - c * np.log(lam)).sum(axis=-1)
 
 
 def _mle(counts):
@@ -161,27 +170,38 @@ def _mle(counts):
     if c.sum() == 0:
         raise InsufficientDataError("all counts are zero")
 
+    # x and its nine perturbed points; this fit's own, so fits in other
+    # threads do not share it
+    points = np.empty((10, 9))
+    diagonal = points.reshape(-1)[9::10]  # points[1 + i, i]
+
     def fun_and_grad(x):
         # scipy's own 2-point forward difference, with x and its nine
         # perturbed points evaluated as one stack
-        fallback = np.copysign(_FD_REL_STEP * np.maximum(1.0, np.abs(x)), x)
-        stepped = x + np.where((x + _FD_STEP) - x == 0, fallback, _FD_STEP)
-        points = np.tile(x, (10, 1))
-        np.fill_diagonal(points[1:], stepped)
+        stepped = x + _FD_STEP
+        h = stepped - x
+        if not h.all():
+            flat = h == 0
+            xf = x[flat]
+            stepped[flat] = xf + np.copysign(_FD_REL_STEP * np.maximum(1.0, np.abs(xf)), xf)
+            h = stepped - x
+        points[:] = x
+        diagonal[:] = stepped
         f = _neg_loglik(points, c)
-        return f[0], (f[1:] - f[0]) / (stepped - x)
+        return f[0], (f[1:] - f[0]) / h
 
     # linear inversion needs the basis counts; without them the seed is I/3
     t0 = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(c))
-    # one call per point, so maxfun 1500 stops where scipy's own difference
-    # (ten evaluations per point) stops against its default of 15000
     res = minimize(
         fun_and_grad,
         t0,
         jac=True,
         method="L-BFGS-B",
-        options={"ftol": 1e-14, "gtol": 1e-10, "maxfun": 1500},
+        options={"ftol": 1e-14, "gtol": 1e-10, "maxfun": MLE_MAX_FUN},
     )
+    # status 2, an abnormal line-search stop, keeps its last accepted point
+    if res.status == 1:
+        raise SolverError(f"state MLE stopped at its cap of {MLE_MAX_FUN} likelihood calls")
     # a copy, so that a caller keeping rho does not keep its stack too
     return _t_to_rho(res.x[None])[0].copy()
 

@@ -116,6 +116,21 @@ class TestPoissonResample:
         assert ens.n_excluded == 3
         assert len(ens.samples) == 6
 
+    def test_capped_fit_excluded(self, monkeypatch):
+        # the second trial's MLE hits a two-call cap: exactly that trial goes
+        _, table = self.make_table()
+        stat = fidelity_statistic(np.ones(3) / np.sqrt(3))
+        full = mc.poisson_resample([table], stat, 4, 2)
+        caps = iter([tomography.MLE_MAX_FUN, 2, tomography.MLE_MAX_FUN, tomography.MLE_MAX_FUN])
+
+        def capped(tables):
+            monkeypatch.setattr(tomography, "MLE_MAX_FUN", next(caps))
+            return stat(tables)
+
+        ens = mc.poisson_resample([table], capped, 4, 2)
+        assert ens.n_excluded == 1
+        assert np.array_equal(ens.samples, np.delete(full.samples, 1))
+
     def test_undeclared_errors_propagate(self):
         _, table = self.make_table()
 

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
-from qutrit_teleport.errors import DimensionError, IllPosedError, InsufficientDataError
+from qutrit_teleport.errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
 
 from helpers import random_density_matrix
 
@@ -268,6 +270,54 @@ class TestStackedMle:
         monkeypatch.setattr(tomography, "_rho_to_t", lambda rho: 1e9 * seed(rho))
         for counts in list(random_state_counts())[::6]:
             assert np.array_equal(tomography._mle(counts), ref_mle(counts)[0])
+
+    def test_partial_relative_step_fallback(self, monkeypatch):
+        # only the diagonal of T scaled by 1e9: those coordinates step by
+        # sqrt(eps) * |x| and the off-diagonal ones by 1e-8, in one point
+        seed = tomography._rho_to_t
+        scale = np.array([1e9, 1e9, 1e9, 1, 1, 1, 1, 1, 1])
+        monkeypatch.setattr(tomography, "_rho_to_t", lambda rho: scale * seed(rho))
+        relative_steps = []
+        neg_loglik = tomography._neg_loglik
+
+        def recording(t, c):
+            steps = np.diagonal(t[1:] - t[0])
+            relative_steps.append(int((np.abs(steps) > 2 * tomography._FD_STEP).sum()))
+            return neg_loglik(t, c)
+
+        monkeypatch.setattr(tomography, "_neg_loglik", recording)
+        for counts in list(random_state_counts())[::6]:
+            assert np.array_equal(tomography._mle(counts), ref_mle(counts)[0])
+        assert any(0 < n < 9 for n in relative_steps)
+
+    def test_fits_in_two_threads(self):
+        # each fit owns its stacked points, so concurrent fits do not mix them
+        tables = list(mc_errors_counts())
+        expected = [ref_mle(counts)[0] for counts in tables]
+        results = [None, None]
+
+        def run(k):
+            results[k] = [tomography.reconstruct_state(counts, "mle") for counts in tables]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for rhos in results:
+            assert len(rhos) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(rhos, expected))
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(tomography, "MLE_MAX_FUN", 2)
+        with pytest.raises(SolverError, match="cap of 2 likelihood calls"):
+            tomography.reconstruct_state(RANK_BOUNDARY_COUNTS, "mle")
 
     def test_one_stacked_call_per_point(self, monkeypatch):
         shapes = []
