@@ -31,9 +31,10 @@ DYKSTRA_TOL = 1e-9
 DYKSTRA_MAX_ITER = 20000
 FIT_TOL = 1e-9
 FIT_MAX_ITER = 20000
-# The state MLE's cap on L-BFGS-B likelihood calls, SolverError when reached.
-# Each call is one stacked point, so 1500 stops where scipy's own difference
-# (ten scalar calls per point) stops against its default of 15000.
+# The state MLE's cap on L-BFGS-B likelihood calls: SolverError when a new
+# iterate finds it exceeded, as scipy's minimize tests its maxfun. Each call
+# is one stacked point, so 1500 stops where scipy's own difference (ten
+# scalar calls per point) stops against its default of 15000.
 MLE_MAX_FUN = 1500
 
 
@@ -153,21 +154,31 @@ _FD_STEP = 1e-8
 _FD_REL_STEP = np.finfo(float).eps ** 0.5
 
 
-def _neg_loglik(t, c):
-    """Poisson negative log-likelihood (n,) of factors t (n, 9) for counts c."""
+def _neg_loglik(t, c, total):
+    """Poisson negative log-likelihood (n,) of factors t (n, 9) for counts c summing to total."""
     p = np.einsum("ij,njk,ik->ni", _KETS_CONJ, _t_to_rho(t), CANONICAL_KETS).real
     p = np.maximum(p, 1e-12)
     # analytic optimal exposure scale: s = sum(n) / sum(p)
-    lam = c.sum() / p.sum(axis=-1, keepdims=True) * p
+    lam = total / p.sum(axis=-1, keepdims=True) * p
     return (lam - c * np.log(lam)).sum(axis=-1)
 
 
+# scipy's L-BFGS-B settings for this fit: 10 corrections, 20 line-search
+# steps, ftol 1e-14 (as factr, in units of eps) and gtol 1e-10
+_LBFGS_M = 10
+_LBFGS_MAXLS = 20
+_LBFGS_FACTR = 1e-14 / np.finfo(float).eps
+_LBFGS_PGTOL = 1e-10
+
+
 def _mle(counts):
-    # imported here, so that runs without a state MLE do not load scipy
-    from scipy.optimize import minimize
+    # scipy's compiled L-BFGS-B step; imported here, so that runs without a
+    # state MLE do not load scipy
+    from scipy.optimize._lbfgsb import setulb
 
     c = np.asarray(counts.counts, dtype=float)
-    if c.sum() == 0:
+    total = c.sum()
+    if total == 0:
         raise InsufficientDataError("all counts are zero")
 
     # x and its nine perturbed points; this fit's own, so fits in other
@@ -187,23 +198,42 @@ def _mle(counts):
             h = stepped - x
         points[:] = x
         diagonal[:] = stepped
-        f = _neg_loglik(points, c)
+        f = _neg_loglik(points, c, total)
         return f[0], (f[1:] - f[0]) / h
 
     # linear inversion needs the basis counts; without them the seed is I/3
-    t0 = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(c))
-    res = minimize(
-        fun_and_grad,
-        t0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"ftol": 1e-14, "gtol": 1e-10, "maxfun": MLE_MAX_FUN},
-    )
-    # status 2, an abnormal line-search stop, keeps its last accepted point
-    if res.status == 1:
+    x = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(c))
+    # the loop of scipy's minimize(method="L-BFGS-B") for this problem, with
+    # its work arrays and its reverse-communication tasks: 3 asks for f and g
+    # at x, 1 reports a new iterate, 4 is convergence, anything else a stop
+    n, m = len(x), _LBFGS_M
+    bounds = np.zeros(n)
+    nbd = np.zeros(n, np.int32)  # no variable is bounded
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    n_fun, x_fun = 0, None
+    while True:
+        setulb(
+            m, x, bounds, bounds, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task,
+        )
+        if task[0] == 3:
+            # as scipy does, a request at the point just evaluated reuses it
+            if x_fun is None or not (x == x_fun).all():
+                f, g_fun = fun_and_grad(x)
+                n_fun, x_fun = n_fun + 1, x.copy()
+            g[:] = g_fun
+        elif task[0] != 1 or n_fun > MLE_MAX_FUN:
+            break
+    # past the cap without convergence is scipy's status 1; any other stop
+    # (status 2, an abnormal line-search end) keeps its last accepted point
+    if task[0] != 4 and n_fun > MLE_MAX_FUN:
         raise SolverError(f"state MLE stopped at its cap of {MLE_MAX_FUN} likelihood calls")
     # a copy, so that a caller keeping rho does not keep its stack too
-    return _t_to_rho(res.x[None])[0].copy()
+    return _t_to_rho(x[None])[0].copy()
 
 
 def reconstruct_state(counts, method="mle"):

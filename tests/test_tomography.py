@@ -181,6 +181,60 @@ TELEPORT_MODELS = (
 # mc_errors-style draw: seed 2, trial 7, input 2 at rate 150)
 RANK_BOUNDARY_COUNTS = tomography.CountsTable((1, 4, 28, 4, 12, 30, 36, 39, 31))
 
+# L-BFGS-B asks four times for f and g at the point it was just given; a
+# teleport_tomography draw (seed 3, point 7)
+REPEATED_POINT_COUNTS = tomography.CountsTable((0, 80, 75, 52, 43, 39, 43, 142, 82))
+
+# L-BFGS-B ends ABNORMAL here (scipy's status 2): ref_mle stops after 580
+# scalar calls and keeps its last accepted point
+ABNORMAL_STOP_COUNTS = tomography.CountsTable((2, 4, 2, 0, 9, 6, 0, 0, 2))
+
+
+def ref_stacked_mle(counts, max_fun=tomography.MLE_MAX_FUN):
+    """The stacked likelihood under scipy's own L-BFGS-B loop, as minimize
+    runs it. Returns (rho, scipy's status)."""
+    c = np.asarray(counts.counts, dtype=float)
+    total = c.sum()
+    points = np.empty((10, 9))
+    diagonal = points.reshape(-1)[9::10]
+
+    def fun_and_grad(x):
+        stepped = x + tomography._FD_STEP
+        h = stepped - x
+        if not h.all():
+            flat = h == 0
+            xf = x[flat]
+            step = tomography._FD_REL_STEP * np.maximum(1.0, np.abs(xf))
+            stepped[flat] = xf + np.copysign(step, xf)
+            h = stepped - x
+        points[:] = x
+        diagonal[:] = stepped
+        f = tomography._neg_loglik(points, c, total)
+        return f[0], (f[1:] - f[0]) / h
+
+    t0 = tomography._rho_to_t(tomography._linear_inversion(c))
+    res = minimize(
+        fun_and_grad,
+        t0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"ftol": 1e-14, "gtol": 1e-10, "maxfun": max_fun},
+    )
+    return tomography._t_to_rho(res.x[None])[0], res.status
+
+
+def record_stacked_calls(monkeypatch):
+    """The number of points in each stacked likelihood call, as they happen."""
+    calls = []
+    neg_loglik = tomography._neg_loglik
+
+    def counting(t, c, total):
+        calls.append(len(t))
+        return neg_loglik(t, c, total)
+
+    monkeypatch.setattr(tomography, "_neg_loglik", counting)
+    return calls
+
 
 def teleport_tomography_counts(seed=3):
     inputs = protocol.benchmark_input_states()
@@ -280,10 +334,10 @@ class TestStackedMle:
         relative_steps = []
         neg_loglik = tomography._neg_loglik
 
-        def recording(t, c):
+        def recording(t, c, total):
             steps = np.diagonal(t[1:] - t[0])
             relative_steps.append(int((np.abs(steps) > 2 * tomography._FD_STEP).sum()))
-            return neg_loglik(t, c)
+            return neg_loglik(t, c, total)
 
         monkeypatch.setattr(tomography, "_neg_loglik", recording)
         for counts in list(random_state_counts())[::6]:
@@ -319,13 +373,34 @@ class TestStackedMle:
         with pytest.raises(SolverError, match="cap of 2 likelihood calls"):
             tomography.reconstruct_state(RANK_BOUNDARY_COUNTS, "mle")
 
+    @pytest.mark.parametrize("counts", [RANK_BOUNDARY_COUNTS, ABNORMAL_STOP_COUNTS])
+    def test_cap_agrees_with_scipy_loop(self, counts, monkeypatch):
+        # the cap is tested where scipy tests it, at each new iterate, and a
+        # fit past it raises exactly when scipy's loop reports status 1
+        for max_fun in range(1, 21):
+            monkeypatch.setattr(tomography, "MLE_MAX_FUN", max_fun)
+            rho, status = ref_stacked_mle(counts, max_fun)
+            if status == 1:
+                with pytest.raises(SolverError):
+                    tomography._mle(counts)
+            else:
+                assert np.array_equal(tomography._mle(counts), rho)
+
+    def test_abnormal_stop_returns_last_point(self, monkeypatch):
+        rho, res = ref_mle(ABNORMAL_STOP_COUNTS)
+        # the case's premise: scipy's loop ends ABNORMAL after 580 scalar calls
+        assert (res.status, res.nfev) == (2, 580)
+        calls = record_stacked_calls(monkeypatch)
+        assert np.array_equal(tomography.reconstruct_state(ABNORMAL_STOP_COUNTS, "mle"), rho)
+        assert calls == [10] * 58
+
     def test_one_stacked_call_per_point(self, monkeypatch):
         shapes = []
         neg_loglik = tomography._neg_loglik
 
-        def counting(t, c):
+        def counting(t, c, total):
             shapes.append(np.shape(t))
-            return neg_loglik(t, c)
+            return neg_loglik(t, c, total)
 
         monkeypatch.setattr(tomography, "_neg_loglik", counting)
         for counts in list(mc_errors_counts(trials=1)):
@@ -334,6 +409,24 @@ class TestStackedMle:
             # scipy's difference costs 1 + 9 scalar calls per point
             assert len(shapes) == ref_mle(counts)[1].nfev // 10
             assert set(shapes) == {(10, 9)}
+
+    def test_repeated_request_reuses_the_point(self, monkeypatch):
+        # scipy's loop answers a request at the point just evaluated from its
+        # memo, so the evaluation count, and with it the cap, is scipy's
+        from scipy.optimize import _lbfgsb
+
+        expected, res = ref_mle(REPEATED_POINT_COUNTS)
+        requests, setulb = [], _lbfgsb.setulb
+
+        def recording_setulb(*args):
+            setulb(*args)
+            requests.append(args[11][0] == 3)  # task FG: f and g at x
+
+        monkeypatch.setattr(_lbfgsb, "setulb", recording_setulb)
+        calls = record_stacked_calls(monkeypatch)
+        assert np.array_equal(tomography.reconstruct_state(REPEATED_POINT_COUNTS, "mle"), expected)
+        assert sum(requests) == 43
+        assert len(calls) == res.nfev // 10 == 39
 
     def test_estimate_owns_its_data(self):
         # a view of the stacked evaluation would keep the stack alive
