@@ -46,22 +46,24 @@ def projector(vec):
     return v[..., :, None] * v[..., None, :].conj()
 
 
-def check_pure_state(vec, dim=None, atol=1e-12):
+def check_pure_state(vec):
+    """Validate a normalized length-3 state vector, to 1e-12 in its norm."""
     vec = np.asarray(vec, dtype=complex)
-    if dim is not None and vec.shape != (dim,):
-        raise DimensionError(f"expected a length-{dim} vector, got shape {vec.shape}")
+    if vec.shape != (3,):
+        raise DimensionError(f"expected a length-3 vector, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise ValueError("state vector has non-finite entries")
-    if abs(np.linalg.norm(vec) - 1.0) > atol:
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
         raise ValueError("state vector is not normalized")
     return vec
 
 
-def check_density_matrix(rho, dim=None, atol=1e-9):
-    """Validate Hermiticity, positivity and unit trace of a density matrix.
+def check_density_matrix(rho, dim=None):
+    """Validate Hermiticity, positivity and unit trace of a density matrix, to 1e-9.
 
     ``rho`` may be a stack of matrices on leading axes; each must pass.
     """
+    atol = 1e-9
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")

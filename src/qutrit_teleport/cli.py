@@ -216,11 +216,8 @@ def cmd_mc_errors(args):
     tables = [mc.counts_for_state(rho_out, args.exposure, rng) for rho_out in outs]
 
     def statistic(resampled):
-        pairs = [
-            (phi, tomography.reconstruct_state(t, "mle"))
-            for phi, t in zip(inputs, resampled)
-        ]
-        return tomography.process_fidelity(tomography.reconstruct_process(pairs).chi)
+        chi = mc.fit_channel(inputs, [t.counts for t in resampled])
+        return tomography.process_fidelity(chi)
 
     ens = mc.poisson_resample(tables, statistic, args.trials, args.seed)
     if len(ens.samples) < 2:

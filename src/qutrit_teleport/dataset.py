@@ -100,22 +100,36 @@ def parse_matrix(doc, source="<memory>"):
 
 def load_matrix(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     except OSError as e:
         raise ParseError(f"{path}: cannot read file: {e.strerror}") from None
     return parse_matrix(doc, source=str(path))
 
 
+def _check_repair(kind, sizes):
+    """DataQualityError if the largest repair size exceeds ``REPAIR_CAP`` or is NaN."""
+    worst = float(np.max(sizes))
+    if not worst <= REPAIR_CAP:
+        raise DataQualityError(f"{kind}-matrix repair {worst:.3g} exceeds the cap {REPAIR_CAP}")
+
+
+# Ingested entries can be finite but so large or so small that the repair
+# overflows, underflows or meets a non-finite value on the way: numpy's
+# warnings are silenced, and such a matrix fails the cap or its eigensolver.
 def repair_and_log_density(mat):
-    rho, log = tomography.repair_density_matrix(mat)
-    worst = max(log.values())
-    if worst > REPAIR_CAP:
-        raise DataQualityError(
-            f"density-matrix repair {worst:.3f} exceeds the cap {REPAIR_CAP}"
-        )
+    try:
+        with np.errstate(all="ignore"):
+            rho, log = tomography.repair_density_matrix(mat)
+    except np.linalg.LinAlgError as e:
+        raise DataQualityError(f"density-matrix repair failed: {e}") from None
+    _check_repair("density", list(log.values()))
     return rho, log
 
 
@@ -129,12 +143,16 @@ def repair_and_log_process(mat):
     Choi-normalized one reaches that only after conversion.
     """
     mat = np.asarray(mat, dtype=complex)
-    readings = (mat, tomography.chi_from_orthonormal(mat))
-    resids = [float(np.abs(tomography.tp_matrix(m) - np.eye(3)).max()) for m in readings]
-    choi_normalized = resids[1] < resids[0]
-    chi, tp_resid = readings[choi_normalized], resids[choi_normalized]
-    herm = float(np.abs(chi - chi.conj().T).max())
-    eigs = np.linalg.eigvalsh((chi + chi.conj().T) / 2)
+    with np.errstate(all="ignore"):
+        readings = (mat, tomography.chi_from_orthonormal(mat))
+        resids = [float(np.abs(tomography.tp_matrix(m) - np.eye(3)).max()) for m in readings]
+        choi_normalized = resids[1] < resids[0]
+        chi, tp_resid = readings[choi_normalized], resids[choi_normalized]
+        herm = float(np.abs(chi - chi.conj().T).max())
+        try:
+            eigs = np.linalg.eigvalsh((chi + chi.conj().T) / 2)
+        except np.linalg.LinAlgError as e:
+            raise DataQualityError(f"process-matrix repair failed: {e}") from None
     clip = float(max(0.0, -eigs.min()))
     log = {
         "converted_from_choi_normalized": choi_normalized,
@@ -142,9 +160,7 @@ def repair_and_log_process(mat):
         "eigenvalue_clip": clip,
         "tp_residual": tp_resid,
     }
-    worst = max(herm, clip, tp_resid)
-    if worst > REPAIR_CAP:
-        raise DataQualityError(f"process-matrix repair {worst:.3f} exceeds the cap {REPAIR_CAP}")
+    _check_repair("process", [herm, clip, tp_resid])
     return tomography.project_physical(chi), log
 
 

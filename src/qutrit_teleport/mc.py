@@ -60,12 +60,7 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     samples = []
     n_excluded = 0
     for rng in trial_rngs(seed, n_trials):
-        resampled = [
-            tomography.CountsTable(
-                tuple(int(c) for c in rng.poisson(np.asarray(t.counts, dtype=float)))
-            )
-            for t in counts_tables
-        ]
+        resampled = [tomography.CountsTable(rng.poisson(t.counts)) for t in counts_tables]
         try:
             samples.append(float(statistic(resampled)))
         except (InsufficientDataError, IllPosedError, SolverError):
@@ -95,7 +90,7 @@ def counts_for_state(rho, rate, rng):
     return tomography.CountsTable(rng.poisson(_poisson_means(rho, rate)))
 
 
-def _fit_channel(inputs, counts):
+def fit_channel(inputs, counts):
     """Refit chi from counts (n, 9) of each input's output.
 
     Maximum-likelihood states, then the constrained (PSD +
@@ -148,7 +143,7 @@ def convergence_study(
     means = _poisson_means(truth, rate)
     values = np.zeros((trials, len(grid)))
     for t, rng in enumerate(trial_rngs(seed, trials)):
-        chi_hat = _fit_channel(inputs, rng.poisson(means))
+        chi_hat = fit_channel(inputs, rng.poisson(means))
         for g, n in enumerate(grid):
             probes = [algebra.random_pure_state(rng) for _ in range(n)]
             outs = tomography.apply_process(chi_hat, algebra.projector(probes), repair=True)
@@ -189,7 +184,7 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
         if estimator == "linear":
             chis = tomography.linear_process_fit(kets, counts)
         else:
-            chis = [_fit_channel(kets, c) for c in counts]
+            chis = [fit_channel(kets, c) for c in counts]
         scores.append(tomography.mub_fidelities(chis, repair=(estimator == "mle"))[1])
     mub, nonmub = scores
     return {
@@ -205,6 +200,7 @@ __all__ = [
     "ResampleEnsemble",
     "poisson_resample",
     "counts_for_state",
+    "fit_channel",
     "StudyResult",
     "convergence_study",
     "mub_design_study",

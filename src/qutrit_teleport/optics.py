@@ -264,6 +264,7 @@ class VisibilityModel:
 
 
 HYBRID = {0: (0, H), 1: (1, V), 2: (2, H)}
+HYBRID_LEVEL = {mode: level for level, mode in HYBRID.items()}
 
 
 def hybrid_photon(arm, amplitudes, tag_vector=None):
@@ -283,7 +284,7 @@ def hybrid_photon(arm, amplitudes, tag_vector=None):
 
 def _initial_state(input_state, channel, tags):
     """Photons 1, 2, 3 (and trigger) before the measurement circuit."""
-    phi = algebra.check_pure_state(input_state, dim=3)
+    phi = algebra.check_pure_state(input_state)
 
     photon1 = hybrid_photon("p1", phi, tags["p1"])
     # Entangled channel: photon 2 interferes, photon 3 never does.
@@ -384,13 +385,6 @@ def run_circuit(input_state, channel, visibility=None, through_stage="HWP1_4"):
 KRAUS_CACHE_SIZE = 16
 
 
-def _decode_photon3(mode):
-    for level, (rail, pol) in HYBRID.items():
-        if mode.rail == rail and mode.pol == pol:
-            return level
-    return None
-
-
 @functools.lru_cache(maxsize=KRAUS_CACHE_SIZE)
 def _kraus_set(schmidt_coefficients, default, pairwise):
     """The Kraus set of ``run_teleportation``, stacked read-only as (n, 3, 3)."""
@@ -406,7 +400,7 @@ def _kraus_set(schmidt_coefficients, default, pairwise):
             p3 = [m for m in pattern if m.arm == "p3"]
             if len(meas) != 4 or len(p3) != 1:
                 continue
-            level = _decode_photon3(p3[0])
+            level = HYBRID_LEVEL.get((p3[0].rail, p3[0].pol))
             if level is None:
                 continue
             pols = tuple(meas[a].pol for a in measured_arms)
@@ -437,7 +431,7 @@ def run_teleportation(input_state, channel=None, visibility=None):
     returns rho = sum (K phi)(K phi)^+ / p, the tag-traced mixture over
     outcomes, and p = sum |K phi|^2.
     """
-    phi = algebra.check_pure_state(input_state, dim=3)
+    phi = algebra.check_pure_state(input_state)
     channel = channel or ChannelSpec.rebalanced()
     vis = visibility or VisibilityModel()
     kraus = _kraus_set(

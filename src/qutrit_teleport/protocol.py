@@ -64,7 +64,7 @@ def decompose_input(channel, input_state):
     Returns the nine branches in (n, m) order. Conditional states are
     normalized; branch probabilities sum to 1.
     """
-    phi = algebra.check_pure_state(input_state, dim=3)
+    phi = algebra.check_pure_state(input_state)
     s = channel.schmidt_coefficients
 
     # Tripartite amplitudes Psi[i1, i2, i3] = phi[i1] * s_k delta(i2=i3=k).

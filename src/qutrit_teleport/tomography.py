@@ -131,19 +131,7 @@ def _rho_to_t(rho):
     J = np.fliplr(np.eye(3))
     C = np.linalg.cholesky(J @ rho @ J + 1e-10 * np.eye(3))
     T = (J @ C @ J).conj().T
-    return np.array(
-        [
-            T[0, 0].real,
-            T[1, 1].real,
-            T[2, 2].real,
-            T[1, 0].real,
-            T[1, 0].imag,
-            T[2, 0].real,
-            T[2, 0].imag,
-            T[2, 1].real,
-            T[2, 1].imag,
-        ]
-    )
+    return T.reshape(-1).view(float)[_T_SLOTS]
 
 
 _KETS_CONJ = CANONICAL_KETS.conj()
@@ -465,19 +453,6 @@ def _tp_map():
     return K, k
 
 
-def project_tp(chi):
-    """Euclidean projection of chi onto the trace-preserving affine subspace."""
-    K, k = _tp_map()
-    v = np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
-    return (K @ v + k).view(complex).reshape(_N, _N)
-
-
-def project_psd(chi):
-    chi = np.asarray(chi, dtype=complex)
-    w, u = np.linalg.eigh((chi + chi.conj().T) / 2)
-    return (u * np.maximum(w, 0.0)) @ u.conj().T
-
-
 def project_physical(chi):
     """Dykstra projection of the Hermitian part of chi onto PSD intersect TP.
 
@@ -525,7 +500,7 @@ def reconstruct_process(pairs):
     """
     if len(pairs) < _N:
         raise IllPosedError(f"need at least {_N} input/output pairs, got {len(pairs)}")
-    inputs = [algebra.check_pure_state(p, dim=3) for p, _ in pairs]
+    inputs = [algebra.check_pure_state(p) for p, _ in pairs]
     outputs = [np.asarray(r, dtype=complex) for _, r in pairs]
     if any(o.shape != (3, 3) for o in outputs):
         raise DimensionError("each output must be a 3x3 matrix")
@@ -609,8 +584,6 @@ __all__ = [
     "linear_process_fit",
     "reconstruct_process",
     "ProcessFit",
-    "project_tp",
-    "project_psd",
     "project_physical",
     "check_process_matrix",
     "chi_from_orthonormal",

@@ -173,10 +173,21 @@ def non_number_files(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def unrepairable_files(tmp_path_factory):
-    """3x3 matrix files whose trace is not positive once negative eigenvalues are clipped."""
+    """Matrix files no repair can make physical.
+
+    3x3 ones whose trace is not positive once negative eigenvalues are
+    clipped, and 3x3 and 9x9 ones of entries so large that the repair
+    overflows, or so small that it underflows.
+    """
     out_dir = tmp_path_factory.mktemp("unrepairable")
     files = {}
-    for name, mat in (("zero", np.zeros((3, 3))), ("negative", np.diag([-1.0, 0.0, 0.0]))):
+    for name, mat in (
+        ("zero", np.zeros((3, 3))),
+        ("negative", np.diag([-1.0, 0.0, 0.0])),
+        ("huge", np.full((3, 3), 1e308)),
+        ("huge-9x9", np.full((9, 9), 1e308)),
+        ("tiny", np.full((3, 3), 1e-320)),
+    ):
         files[name] = str(out_dir / f"{name}.json")
         dataset.save_matrix(mat, files[name])
     return files
@@ -309,6 +320,9 @@ class TestCli:
             ["certify", "--matrix", "negative"],
             ["certify", "--batch", "--matrix", "zero"],
             ["certify", "--batch", "--matrix", "negative"],
+            ["certify", "--matrix", "huge"],
+            ["certify", "--batch", "--matrix", "huge-9x9"],
+            ["certify", "--matrix", "tiny"],
         ],
         ids=[
             "tomography-no-counts",
@@ -319,6 +333,9 @@ class TestCli:
             "negative-matrix",
             "batch-zero-matrix",
             "batch-negative-matrix",
+            "overflowing-matrix",
+            "batch-overflowing-matrix",
+            "underflowing-matrix",
         ],
     )
     def test_data_errors_exit_data_quality(self, argv, capsys, unrepairable_files):
@@ -346,14 +363,23 @@ class TestCli:
         )
 
     def test_matrix_read_while_parsing(self, capsys, tmp_path, monkeypatch):
-        # the error names the file as given, and no --out directory is left
+        # the error names the file as given and the reason, and no --out
+        # directory is left
         monkeypatch.chdir(tmp_path)
         Path("bad.json").write_text("{")
-        for path in ("missing.json", "bad.json"):
+        Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        Path("latin1.json").write_bytes(b'{"dim": 1, "entries": [[["\xe9", 0]]]}')
+        reasons = {
+            "missing.json": "cannot read file",
+            "bad.json": "invalid JSON at line 1",
+            "deep.json": "invalid JSON: nested too deeply",
+            "latin1.json": "not UTF-8 text",
+        }
+        for path, reason in reasons.items():
             code = cli.main(["certify", "--matrix", path, "--out", "new"])
             captured = capsys.readouterr()
             assert code == cli.EXIT_PARSE
-            assert captured.err.startswith(f"parse error: argument --matrix: {path}: ")
+            assert captured.err.startswith(f"parse error: argument --matrix: {path}: {reason}")
             assert len(captured.err.splitlines()) == 1
             assert not Path("new").exists()
 

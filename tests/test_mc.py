@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qutrit_teleport import algebra, certify, mc, tomography
+from qutrit_teleport import algebra, certify, cli, mc, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError, SolverError
 
 from helpers import count_calls
@@ -24,7 +24,7 @@ def no_fit(monkeypatch):
     def fit(*args, **kwargs):
         raise AssertionError("channel fit started")
 
-    monkeypatch.setattr(mc, "_fit_channel", fit)
+    monkeypatch.setattr(mc, "fit_channel", fit)
     monkeypatch.setattr(tomography, "linear_process_fit", fit)
 
 
@@ -40,6 +40,12 @@ def test_no_fit_trips_on_both_design_study_chains(no_fit):
     for estimator in ("linear", "mle"):
         with pytest.raises(AssertionError, match="channel fit started"):
             mc.mub_design_study(trials=2, estimator=estimator)
+
+
+def test_mc_errors_cli_runs_the_one_refit_chain(no_fit):
+    # the CLI's error bar runs the studies' one refit chain, not a copy of it
+    with pytest.raises(AssertionError, match="channel fit started"):
+        cli.main(["mc_errors", "--trials", "2"])
 
 
 def test_unknown_estimator_rejected_before_any_draw(no_fit, monkeypatch):

@@ -66,7 +66,7 @@ def fock_oracle(phi, channel=None, visibility=None):
                 continue
             if any(meas[a].pol != pol for a, pol in zip(measured_arms, pols)):
                 continue
-            level = optics._decode_photon3(p3[0])
+            level = optics.HYBRID_LEVEL.get((p3[0].rail, p3[0].pol))
             if level is None:
                 continue
             tag_key = tuple(meas[a].tag for a in measured_arms)

@@ -587,20 +587,20 @@ class TestTwoDesignConsistency:
         assert abs(np.mean(vals) - f_formula) < 0.005
 
 
+def tp_step(chi):
+    """The TP step of ``project_physical``: the affine map K v + k on chi.view(float)."""
+    K, k = tomography._tp_map()
+    v = np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
+    return (K @ v + k).view(complex).reshape(9, 9)
+
+
 class TestProjections:
     def test_project_tp(self):
         rng = np.random.default_rng(6)
         chi = tomography.noisy_model_chi() + 0.05 * rng.normal(size=(9, 9))
         chi = (chi + chi.conj().T) / 2
-        proj = tomography.project_tp(chi)
+        proj = tp_step(chi)
         assert np.abs(tomography.tp_matrix(proj) - np.eye(3)).max() < 1e-9
-
-    def test_project_psd(self):
-        rng = np.random.default_rng(7)
-        chi = rng.normal(size=(9, 9))
-        chi = (chi + chi.T) / 2
-        proj = tomography.project_psd(chi)
-        assert np.linalg.eigvalsh(proj).min() > -1e-12
 
     def test_project_physical_idempotent_on_valid_chi(self):
         chi = tomography.noisy_model_chi()
@@ -939,23 +939,17 @@ class TestProjectionOracle:
             # y + q inside the Dykstra loop is Hermitian only to rounding
             nearly = chi + 1e-15 * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
             for x in (chi, nearly):
-                assert np.abs(tomography.project_tp(x) - ref_project_tp(x)).max() < 1e-14
+                assert np.abs(tp_step(x) - ref_project_tp(x)).max() < 1e-14
 
     def test_project_tp_is_idempotent_and_commutes_with_adjoint(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             chi = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-            once = tomography.project_tp(chi)
+            once = tp_step(chi)
             assert np.abs(tomography.tp_matrix(once) - np.eye(3)).max() < 1e-13
-            assert np.abs(tomography.project_tp(once) - once).max() < 1e-13
-            adjoint = tomography.project_tp(chi.conj().T)
+            assert np.abs(tp_step(once) - once).max() < 1e-13
+            adjoint = tp_step(chi.conj().T)
             assert np.abs(adjoint - once.conj().T).max() < 1e-13
-
-    def test_project_psd_matches_reference(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            chi = random_hermitian_chi(rng, scale=0.3)
-            assert np.abs(tomography.project_psd(chi) - ref_project_psd(chi)).max() < 1e-14
 
     def test_project_physical_matches_reference(self):
         rng = np.random.default_rng(18)
