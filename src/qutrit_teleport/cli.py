@@ -36,8 +36,6 @@ def _round_floats(obj):
     """``obj`` with every float rounded to 6 decimals, as reports print them."""
     if isinstance(obj, float):
         return round(obj, 6)
-    if isinstance(obj, complex):
-        return [round(obj.real, 6), round(obj.imag, 6)]
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -178,24 +176,21 @@ def _certify_grid(chi, grid, closed_interval):
 
 
 def cmd_certify(args):
-    kind, shape = ("process", "9x9") if args.batch else ("density", "3x3")
     path = args.matrix.path if args.matrix else None
-    if args.matrix:
-        mat, got, log = dataset.repair_matrix(args.matrix.matrix, path)
-        if got != kind:
-            raise ParseError(f"{path}: expected a {shape} {kind} matrix")
-    elif args.batch:
-        mat, log = dataset.reference_chi()
-    else:
-        mat, log = dataset.repair_and_log_density(np.eye(3) / 3.0)
     if args.batch:
-        summary, phases, mus = _certify_grid(mat, _grid_shape(args.grid), args.closed_interval)
+        if args.matrix:
+            chi, log = dataset.repair_and_log_process(args.matrix.matrix)
+        else:
+            chi, log = dataset.reference_chi()
+        summary, phases, mus = _certify_grid(chi, _grid_shape(args.grid), args.closed_interval)
         config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": path}
         emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
         rows = [(*p, mu, v) for p, mu, v in zip(phases, mus, certify.verdict(mus))]
         _write_csv(args.out, "certify_batch", ("phi1", "phi2", "mu", "verdict"), rows)
         return 0
-    report = certify.certify_state(mat)
+    mat = args.matrix.matrix if args.matrix else np.eye(3) / 3.0
+    rho, log = dataset.repair_and_log_density(mat)
+    report = certify.certify_state(rho)
     results = {
         "linear_criteria": report.linear_values,
         "nonlinear_criterion": report.nonlinear_lhs,
@@ -322,7 +317,8 @@ def cmd_full_reproduction(args):
 # is checked while parsing, before --out is created: numpy's generators take
 # only non-negative seeds, an ensemble std needs two trials, Poisson means
 # need the exposure (or rate) positive and bounded, the report records the
-# grid's text and the matrix path as given, and a matrix file is read then.
+# grid's text and the matrix path as given, and a matrix file is read then
+# (its size, which depends on --batch, right after parsing).
 _seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
 _trials = _checked(int, lambda n: n >= 2, "must be an integer of at least 2")
 _visibility = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
@@ -382,9 +378,22 @@ def build_parser():
     return p
 
 
+def _check_matrix_size(args):
+    """The one check of two options: ``certify`` reads a 3x3 density matrix,
+    ``certify --batch`` a 9x9 process matrix."""
+    if getattr(args, "matrix", None) is None:
+        return
+    n, kind = (9, "process") if args.batch else (3, "density")
+    path, got = args.matrix.path, args.matrix.matrix.shape[0]
+    if got != n:
+        expected = f"expected a {n}x{n} {kind} matrix, got {got}x{got}"
+        raise ParseError(f"argument --matrix: {path}: {expected}")
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        _check_matrix_size(args)
         if args.out:
             try:
                 Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -66,8 +66,12 @@ def save_matrix(mat, path):
 
 
 def _is_finite_number(v):
-    """A JSON number: not a bool, and not NaN or Infinity, which json.load accepts."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number: not a bool, not NaN or Infinity, which json.load
+    accepts, and not an integer beyond the float range."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def parse_matrix(doc, source="<memory>"):
@@ -79,7 +83,7 @@ def parse_matrix(doc, source="<memory>"):
             raise ParseError(f"{source}: missing field {key!r}")
     dim = doc["dim"]
     entries = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"{source}: field 'dim' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ParseError(f"{source}: 'entries' must have {dim} rows")
@@ -108,15 +112,20 @@ def load_matrix(path):
         raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except RecursionError:
         raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as e:
+        # Python's int-conversion digit limit; the advice after ';' is for programmers
+        raise ParseError(f"{path}: invalid JSON: {str(e).split(';')[0]}") from None
     except OSError as e:
         raise ParseError(f"{path}: cannot read file: {e.strerror}") from None
     return parse_matrix(doc, source=str(path))
 
 
 def _check_repair(kind, sizes):
-    """DataQualityError if the largest repair size exceeds ``REPAIR_CAP`` or is NaN."""
+    """DataQualityError if the largest repair size is not finite or exceeds ``REPAIR_CAP``."""
     worst = float(np.max(sizes))
-    if not worst <= REPAIR_CAP:
+    if not math.isfinite(worst):
+        raise DataQualityError(f"{kind}-matrix repair size is not finite")
+    if worst > REPAIR_CAP:
         raise DataQualityError(f"{kind}-matrix repair {worst:.3g} exceeds the cap {REPAIR_CAP}")
 
 
@@ -162,21 +171,6 @@ def repair_and_log_process(mat):
     }
     _check_repair("process", [herm, clip, tp_resid])
     return tomography.project_physical(chi), log
-
-
-def repair_matrix(mat, source):
-    """Repair a matrix read from ``source``, by its size; returns (matrix, kind, log).
-
-    3x3 matrices are treated as density matrices, 9x9 as process
-    matrices; anything else is rejected.
-    """
-    if mat.shape == (3, 3):
-        rho, log = repair_and_log_density(mat)
-        return rho, "density", log
-    if mat.shape == (9, 9):
-        chi, log = repair_and_log_process(mat)
-        return chi, "process", log
-    raise ParseError(f"{source}: unsupported dimension {mat.shape[0]}")
 
 
 def _fixture(name):
@@ -231,7 +225,6 @@ __all__ = [
     "load_matrix",
     "repair_and_log_density",
     "repair_and_log_process",
-    "repair_matrix",
     "reference_rho_raw",
     "reference_rho",
     "reference_chi_raw",

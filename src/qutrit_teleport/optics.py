@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -217,13 +219,14 @@ class VisibilityModel:
 
     ``default`` applies to every interfering source pair unless an entry
     in ``pairwise`` (keys: frozenset of two distinct names in ``SOURCES``)
-    overrides it.
+    overrides it. Once checked, ``pairwise`` is kept as a read-only copy,
+    so a model hashes and compares by value.
     """
 
     SOURCES = ("p1", "p2", "aux_c", "aux_d")
 
     default: float = 1.0
-    pairwise: dict = field(default_factory=dict)
+    pairwise: Mapping = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         for key in self.pairwise:
@@ -232,6 +235,7 @@ class VisibilityModel:
         for v in [self.default, *self.pairwise.values()]:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("visibility must lie in [0, 1]")
+        object.__setattr__(self, "pairwise", MappingProxyType(dict(self.pairwise)))
 
     def visibility(self, src_a, src_b):
         if src_a == src_b:
@@ -386,23 +390,19 @@ KRAUS_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=KRAUS_CACHE_SIZE)
-def _kraus_set(schmidt_coefficients, default, pairwise):
+def _kraus_set(channel, visibility):
     """The Kraus set of ``run_teleportation``, stacked read-only as (n, 3, 3)."""
     measured_arms = ("a", "b", "c", "d")
-    channel = ChannelSpec(schmidt_coefficients)
-    vis = VisibilityModel(default, dict(pairwise))
     kraus = {}
     for j, basis in enumerate(np.eye(3)):
         # After AUX_PBS post-selects, each mode holds at most one photon, so
-        # a final coefficient equals its amplitude.
-        for pattern, amp in run_circuit(basis, channel, vis, "HWP1_4").terms.items():
+        # a final coefficient equals its amplitude. Every pattern holds one
+        # collected photon per measured arm and photon 3 untouched in its
+        # hybrid encoding; a circuit breaking that raises here.
+        for pattern, amp in run_circuit(basis, channel, visibility, "HWP1_4").terms.items():
             meas = {m.arm: m for m in pattern if m.arm in measured_arms}
-            p3 = [m for m in pattern if m.arm == "p3"]
-            if len(meas) != 4 or len(p3) != 1:
-                continue
-            level = HYBRID_LEVEL.get((p3[0].rail, p3[0].pol))
-            if level is None:
-                continue
+            (p3,) = [m for m in pattern if m.arm == "p3"]
+            level = HYBRID_LEVEL[p3.rail, p3.pol]
             pols = tuple(meas[a].pol for a in measured_arms)
             tags = tuple(meas[a].tag for a in measured_arms)
             k = kraus.setdefault((pols, tags), np.zeros((3, 3), dtype=complex))
@@ -425,18 +425,14 @@ def run_teleportation(input_state, channel=None, visibility=None):
     pattern of the four measured photons and their tags, with the
     feed-forward sign flip on level |2> for odd parity. The compile runs
     the Fock circuit once per basis input |j>, and K's column j is what
-    that run leaves on photon 3. Compiled sets are cached by value (the
-    Schmidt coefficients, ``default`` and the ``pairwise`` items), at most
-    KRAUS_CACHE_SIZE of them, least recently used dropped first. Each call
-    returns rho = sum (K phi)(K phi)^+ / p, the tag-traced mixture over
-    outcomes, and p = sum |K phi|^2.
+    that run leaves on photon 3. Compiled sets are cached on its models, at
+    most KRAUS_CACHE_SIZE of them, least recently used dropped first. Each
+    call returns rho = sum (K phi)(K phi)^+ / p, the tag-traced mixture
+    over outcomes, and p = sum |K phi|^2.
     """
     phi = algebra.check_pure_state(input_state)
     channel = channel or ChannelSpec.rebalanced()
-    vis = visibility or VisibilityModel()
-    kraus = _kraus_set(
-        channel.schmidt_coefficients, vis.default, frozenset(vis.pairwise.items())
-    )
+    kraus = _kraus_set(channel, visibility or VisibilityModel())
     out = kraus @ phi
     total_prob = float(np.vdot(out, out).real)
     rho = out.T @ out.conj()

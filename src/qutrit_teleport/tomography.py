@@ -404,10 +404,11 @@ def linear_process_fit(inputs, counts):
     """The linear chi estimator on counts (..., n, 9) of the outputs of n inputs.
 
     Linear inversion of each output, then the unconstrained least-squares
-    chi (..., 9, 9). Every step is linear in the counts, so the estimate
-    is unbiased under Poisson noise; it is Hermitian but need not be PSD
-    or TP. A stack of count sets gives the same bits as its sets one by
-    one.
+    chi (..., 9, 9). It is Hermitian but need not be PSD or TP. It is
+    biased under Poisson noise: linear inversion divides each count by the
+    basis-triple sum S, and E[1/S] > 1/E[S], so at 150 counts per state
+    the MUB fidelity of ``noisy_model_chi`` reads about 0.007 high. A
+    stack of count sets gives the same bits as its sets one by one.
     """
     kets = np.asarray(inputs, dtype=complex)
     counts = np.asarray(counts)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qutrit_teleport import algebra, certify, cli, dataset, mc, tomography
-from qutrit_teleport.errors import DataQualityError, ParseError
+from qutrit_teleport.errors import DataQualityError, ParseError, SolverError
 
 from helpers import count_calls
 
@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 IDENTITY_MIXED = Path(__file__).resolve().parent / "fixtures" / "identity_mixed.json"
 
 
-def ingest(path):
-    """Load and repair a matrix file, as ``certify --matrix`` does."""
-    return dataset.repair_matrix(dataset.load_matrix(path), str(path))
+def ingest(path, repair):
+    """Load a matrix file and apply ``repair``, as ``certify --matrix`` does."""
+    return repair(dataset.load_matrix(path))
 
 
 class TestMatrixSchema:
@@ -110,27 +110,22 @@ class TestIngest:
     def test_density_kind(self, tmp_path):
         path = tmp_path / "rho.json"
         dataset.save_matrix(np.eye(3) / 3, path)
-        mat, kind, log = ingest(path)
-        assert kind == "density"
+        rho, log = ingest(path, dataset.repair_and_log_density)
+        assert rho.shape == (3, 3)
+        assert max(log.values()) < 1e-9
 
     def test_process_kind(self, tmp_path):
         path = tmp_path / "chi.json"
         dataset.save_matrix(tomography.noisy_model_chi(), path)
-        mat, kind, log = ingest(path)
-        assert kind == "process"
+        chi, log = ingest(path, dataset.repair_and_log_process)
+        assert chi.shape == (9, 9)
         assert not log["converted_from_choi_normalized"]
-
-    def test_unsupported_dim(self, tmp_path):
-        path = tmp_path / "m.json"
-        dataset.save_matrix(np.eye(4) / 4, path)
-        with pytest.raises(ParseError, match="unsupported dimension"):
-            ingest(path)
 
     def test_trace_090_data_quality_error(self, tmp_path):
         path = tmp_path / "low_trace.json"
         dataset.save_matrix(0.90 * np.eye(3) / 3, path)
         with pytest.raises(DataQualityError):
-            ingest(path)
+            ingest(path, dataset.repair_and_log_density)
 
     def test_choi_normalized_process_autodetected(self, tmp_path):
         # the Choi form chi' = chi * (s s^T) / 3, s = (sqrt3, sqrt2, ..., sqrt2)
@@ -138,7 +133,7 @@ class TestIngest:
         chi_on = tomography.noisy_model_chi() * np.outer(scale, scale) / 3.0
         path = tmp_path / "chi_on.json"
         dataset.save_matrix(chi_on, path)
-        chi, kind, log = ingest(path)
+        chi, log = ingest(path, dataset.repair_and_log_process)
         assert log["converted_from_choi_normalized"]
         assert np.abs(chi - tomography.noisy_model_chi()).max() < 1e-6
 
@@ -153,7 +148,13 @@ def _floats(obj):
 
 
 # JSON values that json.load returns as numbers but that are no matrix entry.
-NON_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "true": True, "false": False}
+NON_NUMBERS = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "true": True,
+    "false": False,
+    "int-beyond-float": 10**400,
+}
 
 
 @pytest.fixture(scope="module")
@@ -175,16 +176,19 @@ def non_number_files(tmp_path_factory):
 def unrepairable_files(tmp_path_factory):
     """Matrix files no repair can make physical.
 
-    3x3 ones whose trace is not positive once negative eigenvalues are
-    clipped, and 3x3 and 9x9 ones of entries so large that the repair
-    overflows, or so small that it underflows.
+    3x3 and 9x9 ones whose trace is not positive once negative eigenvalues
+    are clipped, and ones of entries so large that the repair overflows, or
+    so small that it underflows.
     """
     out_dir = tmp_path_factory.mktemp("unrepairable")
     files = {}
     for name, mat in (
         ("zero", np.zeros((3, 3))),
         ("negative", np.diag([-1.0, 0.0, 0.0])),
+        ("zero-9x9", np.zeros((9, 9))),
+        ("negative-9x9", np.diag([-1.0] + [0.0] * 8)),
         ("huge", np.full((3, 3), 1e308)),
+        ("huge-diagonal", np.diag([1e308] * 3)),
         ("huge-9x9", np.full((9, 9), 1e308)),
         ("tiny", np.full((3, 3), 1e-320)),
     ):
@@ -310,19 +314,20 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, reason",
         [
-            ["tomography", "--exposure", "0.01"],
-            ["mub_study", "--exposure", "1", "--trials", "2"],
-            ["convergence", "--exposure", "1e-300", "--trials", "2"],
-            ["mc_errors", "--exposure", "0.5", "--trials", "2"],
-            ["certify", "--matrix", "zero"],
-            ["certify", "--matrix", "negative"],
-            ["certify", "--batch", "--matrix", "zero"],
-            ["certify", "--batch", "--matrix", "negative"],
-            ["certify", "--matrix", "huge"],
-            ["certify", "--batch", "--matrix", "huge-9x9"],
-            ["certify", "--matrix", "tiny"],
+            (["tomography", "--exposure", "0.01"], ""),
+            (["mub_study", "--exposure", "1", "--trials", "2"], ""),
+            (["convergence", "--exposure", "1e-300", "--trials", "2"], ""),
+            (["mc_errors", "--exposure", "0.5", "--trials", "2"], ""),
+            (["certify", "--matrix", "zero"], "matrix has non-positive trace after clipping"),
+            (["certify", "--matrix", "negative"], "matrix has non-positive trace after clipping"),
+            (["certify", "--batch", "--matrix", "zero-9x9"], "process-matrix repair 1 exceeds"),
+            (["certify", "--batch", "--matrix", "negative-9x9"], "process-matrix repair 2 exceeds"),
+            (["certify", "--matrix", "huge"], "density-matrix repair failed"),
+            (["certify", "--matrix", "huge-diagonal"], "density-matrix repair size is not finite"),
+            (["certify", "--batch", "--matrix", "huge-9x9"], "process-matrix repair failed"),
+            (["certify", "--matrix", "tiny"], "density-matrix repair 1 exceeds"),
         ],
         ids=[
             "tomography-no-counts",
@@ -334,17 +339,44 @@ class TestCli:
             "batch-zero-matrix",
             "batch-negative-matrix",
             "overflowing-matrix",
+            "non-finite-repair-matrix",
             "batch-overflowing-matrix",
             "underflowing-matrix",
         ],
     )
-    def test_data_errors_exit_data_quality(self, argv, capsys, unrepairable_files):
+    def test_data_errors_exit_data_quality(self, argv, reason, capsys, unrepairable_files):
         code = cli.main([unrepairable_files.get(a, a) for a in argv])
         captured = capsys.readouterr()
         assert code == cli.EXIT_DATA_QUALITY
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("data-quality error: ")
+        assert captured.err.startswith(f"data-quality error: {reason}")
+
+    @pytest.mark.parametrize(
+        "argv, mat, expected",
+        [
+            (["certify"], tomography.noisy_model_chi(), "3x3 density"),
+            (["certify"], 0.5 * tomography.noisy_model_chi(), "3x3 density"),
+            (["certify"], np.eye(4) / 4, "3x3 density"),
+            (["certify", "--batch"], np.eye(3) / 3, "9x9 process"),
+            (["certify", "--batch"], np.eye(4) / 4, "9x9 process"),
+        ],
+        ids=["certify-9x9", "certify-half-chi", "certify-4x4", "batch-3x3", "batch-4x4"],
+    )
+    def test_wrong_size_matrix_exits_parse(self, argv, mat, expected, capsys, tmp_path):
+        # checked before any work: a 9x9 file needing more repair than the
+        # cap is still a size fault, and no --out directory is left
+        path = tmp_path / "m.json"
+        dataset.save_matrix(mat, path)
+        code = cli.main([*argv, "--matrix", str(path), "--out", str(tmp_path / "new")])
+        captured = capsys.readouterr()
+        n = len(mat)
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: argument --matrix: {path}: expected a {expected} matrix, got {n}x{n}\n"
+        )
+        assert not (tmp_path / "new").exists()
 
     def test_mc_errors_needs_two_surviving_trials(self, capsys, monkeypatch):
         # one trial of two excluded: a single sample gives no error bar
@@ -362,6 +394,28 @@ class TestCli:
             "data-quality error: 1 of 2 trials gave a value; an error bar needs two\n"
         )
 
+    def test_mc_errors_report(self, capsys):
+        # two surviving trials give a report, the same one again for one seed
+        reports = [self.run(["mc_errors", "--trials", "2"], capsys) for _ in range(2)]
+        assert reports[0] == reports[1]
+        code, report = reports[0]
+        assert code == 0
+        results = report["results"]
+        assert results["n_excluded"] == 0
+        assert results["std"] > 0 and 0 < results["mean"] < 1
+        assert report["config"] == {"seed": 0, "trials": 2, "exposure": 150.0}
+
+    def test_solver_error_exits_solver(self, capsys, monkeypatch):
+        def stalled(counts):
+            raise SolverError("state MLE stalled")
+
+        monkeypatch.setattr(tomography, "_mle", stalled)
+        code = cli.main(["tomography"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SOLVER
+        assert captured.out == ""
+        assert captured.err == "solver error: state MLE stalled\n"
+
     def test_matrix_read_while_parsing(self, capsys, tmp_path, monkeypatch):
         # the error names the file as given and the reason, and no --out
         # directory is left
@@ -369,11 +423,18 @@ class TestCli:
         Path("bad.json").write_text("{")
         Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
         Path("latin1.json").write_bytes(b'{"dim": 1, "entries": [[["\xe9", 0]]]}')
+        Path("bool-dim.json").write_text('{"dim": true, "entries": [[[1, 0]]]}')
+        one_entry = '{"dim": 1, "entries": [[[%s, 0]]]}'
+        Path("int-beyond-float.json").write_text(one_entry % 10**400)
+        Path("long-int.json").write_text(one_entry % ("1" + "0" * 5000))
         reasons = {
             "missing.json": "cannot read file",
             "bad.json": "invalid JSON at line 1",
             "deep.json": "invalid JSON: nested too deeply",
             "latin1.json": "not UTF-8 text",
+            "bool-dim.json": "field 'dim' must be a positive integer",
+            "int-beyond-float.json": "entry (0,0) must be [re, im] of finite numbers",
+            "long-int.json": "invalid JSON: Exceeds the limit (4300 digits)",
         }
         for path, reason in reasons.items():
             code = cli.main(["certify", "--matrix", path, "--out", "new"])

@@ -93,7 +93,7 @@ class TestPoissonResample:
         phi = np.ones(3) / np.sqrt(3)
         point = fidelity_statistic(phi)([table])
         ens = mc.poisson_resample([table], fidelity_statistic(phi), 60, 3)
-        assert abs(ens.mean - point) < 3 * ens.std / np.sqrt(ens.n_trials) + 3 * ens.std
+        assert abs(ens.mean - point) < 3 * ens.std / np.sqrt(60) + 3 * ens.std
         assert ens.n_excluded == 0
 
     def test_error_scales_like_sqrt_rate(self):
@@ -374,6 +374,14 @@ class TestMubDesignStudy:
         r1 = mc.mub_design_study(rate=150, trials=5, seed=2)
         r2 = mc.mub_design_study(rate=150, trials=5, seed=2)
         assert r1 == r2
+
+    def test_linear_chain_biased_high(self):
+        # linear inversion divides each count by its basis-triple sum S, and
+        # E[1/S] > 1/E[S]: the mean sits above the model's 0.700 by more than
+        # 5 standard errors
+        trials = 4000
+        res = mc.mub_design_study(rate=150, trials=trials, seed=0)
+        assert res["mean_mub"] - 0.700 > 5 * res["err_mub"] / np.sqrt(trials)
 
     def test_unbiased_linear_chain_near_truth(self):
         res = mc.mub_design_study(rate=150, trials=30, seed=3)

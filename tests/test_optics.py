@@ -316,6 +316,19 @@ class TestVisibility:
         with pytest.raises(ValueError, match="pairwise key"):
             optics.VisibilityModel(pairwise={key: 0.5})
 
+    def test_pairwise_fixed_once_checked(self):
+        # the model keeps a read-only copy, so it hashes and compares by value
+        pair = frozenset(("p1", "p2"))
+        given = {pair: 0.8}
+        vis = optics.VisibilityModel(default=0.95, pairwise=given)
+        given[pair] = 1.5
+        assert vis.visibility("p1", "p2") == 0.8
+        with pytest.raises(TypeError):
+            vis.pairwise[pair] = 1.5
+        same = optics.VisibilityModel(default=0.95, pairwise={pair: 0.8})
+        assert vis == same and hash(vis) == hash(same)
+        assert vis != optics.VisibilityModel(default=0.95, pairwise={pair: 0.7})
+
     def test_run_teleportation_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="non-finite"):
             optics.run_teleportation(np.array([np.nan, 0.0, 0.0]))
@@ -458,7 +471,7 @@ class TestKrausCompile:
         assert len(circuit_runs) == 3
 
     def test_kraus_set_read_only(self):
-        kraus = optics._kraus_set(protocol.ChannelSpec.rebalanced().schmidt_coefficients, 1.0, frozenset())
+        kraus = optics._kraus_set(protocol.ChannelSpec.rebalanced(), optics.VisibilityModel())
         with pytest.raises(ValueError):
             kraus[0, 0, 0] = 1.0
 
