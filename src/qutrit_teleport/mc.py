@@ -13,6 +13,7 @@ raises at its first bad trial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,21 @@ def convergence_study(
     )
 
 
+_DESIGNS = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
+
+
+@functools.cache
+def _design_truth():
+    """Read-only outputs of ``tomography.noisy_model_chi()`` on each design's inputs."""
+    chi_true = tomography.noisy_model_chi()
+    outs = tuple(
+        tomography.apply_process(chi_true, algebra.projector(k), repair=True) for k in _DESIGNS
+    )
+    for o in outs:
+        o.flags.writeable = False
+    return outs
+
+
 def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     """Compare MUB-input vs canonical-input process tomography designs.
 
@@ -169,14 +185,11 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     _check_trials(trials)
     if estimator not in ("linear", "mle"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    chi_true = tomography.noisy_model_chi()
-    designs = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
-    outs = [tomography.apply_process(chi_true, algebra.projector(k), repair=True) for k in designs]
-    means = [_poisson_means(o, rate) for o in outs]
+    means = [_poisson_means(o, rate) for o in _design_truth()]
     # each trial draws its MUB counts, then its canonical ones
     draws = [[rng.poisson(m) for m in means] for rng in trial_rngs(seed, trials)]
     scores = []
-    for kets, counts in zip(designs, zip(*draws)):
+    for kets, counts in zip(_DESIGNS, zip(*draws)):
         if estimator == "linear":
             chis = tomography.linear_process_fit(kets, counts)
         else:

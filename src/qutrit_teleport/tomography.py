@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import algebra, protocol
 from .errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
@@ -237,6 +238,25 @@ def reconstruct_state(counts, method="mle"):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of a Hermitian matrix or stack, without its wrapper.
+
+    Calls the compiled kernel that ``np.linalg.eigh`` wraps (lower
+    triangle) under the wrapper's own error state, so a LAPACK failure,
+    as on some NaN inputs, still raises LinAlgError. The caller passes a
+    complex array of square matrices: the wrapper's type and shape checks
+    are skipped.
+    """
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.eigh_lo(a)
+
+
 def repair_density_matrix(mat):
     """Symmetrize, clip negative eigenvalues, renormalize the trace.
 
@@ -254,7 +274,7 @@ def repair_density_matrix(mat):
     adjoint = np.swapaxes(mat.conj(), -1, -2)
     herm_resid = float(np.abs(mat - adjoint).max())
     rho = (mat + adjoint) / 2
-    w, u = np.linalg.eigh(rho)
+    w, u = _eigh(rho)
     clip_size = float(max(0.0, -w.min()))
     w = np.clip(w, 0.0, None)
     rho = u @ (w[..., None] * np.eye(w.shape[-1])) @ np.swapaxes(u.conj(), -1, -2)
@@ -458,6 +478,8 @@ def project_physical(chi):
     """Dykstra projection of the Hermitian part of chi onto PSD intersect TP.
 
     The TP set is affine, so its step needs no correction (Boyle and Dykstra, 1986).
+    Each step is one eigendecomposition through ``_eigh``, the bare LAPACK
+    kernel, and one affine map on chi.view(float).
     """
     K, k = _tp_map()
     x = np.asarray(chi, dtype=complex)
@@ -465,7 +487,7 @@ def project_physical(chi):
     p = np.zeros_like(x)
     for _ in range(DYKSTRA_MAX_ITER):
         xp = x + p
-        w, u = np.linalg.eigh(xp)
+        w, u = _eigh(xp)
         y = (u * np.maximum(w, 0.0)) @ u.conj().T
         p = xp - y
         x_new = (K @ y.view(float).ravel() + k).view(complex).reshape(_N, _N)

@@ -277,7 +277,6 @@ class TestCli:
             ["convergence", "--seed", "-1"],
             ["convergence", "--trials", "1"],
             ["certify", "--batch", "--matrix", "/nonexistent/matrix.json"],
-            ["certify", "--batch", "--matrix", str(IDENTITY_MIXED)],
             *(["certify", "--matrix", f"3x3-{v}"] for v in NON_NUMBERS),
             *(["certify", "--batch", "--matrix", f"9x9-{v}"] for v in NON_NUMBERS),
         ],
@@ -301,7 +300,6 @@ class TestCli:
             "convergence-negative-seed",
             "convergence-one-trial",
             "batch-missing-matrix-file",
-            "batch-density-matrix-file",
             *(f"{v}-entry" for v in NON_NUMBERS),
             *(f"batch-{v}-entry" for v in NON_NUMBERS),
         ],

@@ -220,7 +220,7 @@ class TestConvergenceStudy:
     ],
     ids=["convergence-mean_mu", "convergence-fidelity", "mub-linear", "mub-mle"],
 )
-def test_stacked_states_match_one_at_a_time(study, monkeypatch):
+def test_stacked_states_match_one_at_a_time(study, monkeypatch, request):
     stacked = study()
     apply_process, robustness_mu = tomography.apply_process, certify.robustness_mu
 
@@ -237,6 +237,10 @@ def test_stacked_states_match_one_at_a_time(study, monkeypatch):
 
     monkeypatch.setattr(tomography, "apply_process", apply_each)
     monkeypatch.setattr(certify, "robustness_mu", mu_each)
+    # the design study's fixed outputs are cached: recompute them through
+    # the patch, and leave no cache built under it
+    mc._design_truth.cache_clear()
+    request.addfinalizer(mc._design_truth.cache_clear)
     one_at_a_time = study()
     if isinstance(stacked, dict):
         assert stacked == one_at_a_time
@@ -369,6 +373,21 @@ class TestDesignStudyOracle:
             assert rho.tobytes() == ref.tobytes()
 
 
+def delta_method_std(kets, means, rel_step=1e-4):
+    """First-order std of the linear chain's mean MUB fidelity under Poisson counts.
+
+    Central differences of the stacked chain in each mean count, combined
+    with the Poisson variances, which equal the means.
+    """
+    flat = means.ravel()
+    h = rel_step * flat
+    shifts = np.diag(h).reshape((-1,) + means.shape)
+    _, plus = tomography.mub_fidelities(tomography.linear_process_fit(kets, means + shifts))
+    _, minus = tomography.mub_fidelities(tomography.linear_process_fit(kets, means - shifts))
+    grad = (plus - minus) / (2 * h)
+    return float(np.sqrt(np.sum(grad**2 * flat)))
+
+
 class TestMubDesignStudy:
     def test_deterministic(self):
         r1 = mc.mub_design_study(rate=150, trials=5, seed=2)
@@ -382,6 +401,19 @@ class TestMubDesignStudy:
         trials = 4000
         res = mc.mub_design_study(rate=150, trials=trials, seed=0)
         assert res["mean_mub"] - 0.700 > 5 * res["err_mub"] / np.sqrt(trials)
+
+    def test_error_bars_match_delta_method(self):
+        # an oracle that draws nothing: the Monte Carlo std of each design
+        # agrees with the delta method within 3 of its own standard errors,
+        # about std / sqrt(2 (N - 1))
+        rate, trials = 2000, 2000
+        res = mc.mub_design_study(rate=rate, trials=trials, seed=0)
+        chi = tomography.noisy_model_chi()
+        for key, kets in (("err_mub", algebra.MUB_KETS), ("err_nonmub", tomography.CANONICAL_KETS)):
+            outs = tomography.apply_process(chi, algebra.projector(kets), repair=True)
+            probs = tomography.born_probabilities(outs)
+            delta = delta_method_std(kets, rate * probs / probs.sum(axis=-1, keepdims=True))
+            assert abs(res[key] - delta) < 3 * res[key] / np.sqrt(2 * (trials - 1))
 
     def test_unbiased_linear_chain_near_truth(self):
         res = mc.mub_design_study(rate=150, trials=30, seed=3)
