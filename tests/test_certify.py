@@ -486,6 +486,17 @@ class TestBatchCertification:
         assert summary["mus"].tolist() == per_state
         assert (summary["n_genuine"], summary["n_borderline"]) == (236, 0)
 
+    def test_published_grid_count_is_pinned(self):
+        # acceptance 8 allows 251 +/- 15 and passes at exactly 236, so one
+        # state changing its verdict fails it on the edge: a drift of the
+        # repaired published chi or of mu shows here by name first
+        chi, _ = dataset.reference_chi()
+        summary = certify.batch_certification(
+            lambda r: tomography.apply_process(chi, r, repair=True), grid=(20, 20)
+        )
+        assert summary["n_genuine"] == 236
+        assert abs(summary["mean_mu_of_genuine"] - 0.1136228) < 1e-6
+
     def test_certifies_through_module_attribute(self, monkeypatch):
         # perfbench --trace 1 times the mu layer by wrapping this attribute
         calls = []

@@ -587,21 +587,7 @@ class TestTwoDesignConsistency:
         assert abs(np.mean(vals) - f_formula) < 0.005
 
 
-def tp_step(chi):
-    """The TP step of ``project_physical``: the affine map K v + k on chi.view(float)."""
-    K, k = tomography._tp_map()
-    v = np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
-    return (K @ v + k).view(complex).reshape(9, 9)
-
-
 class TestProjections:
-    def test_project_tp(self):
-        rng = np.random.default_rng(6)
-        chi = tomography.noisy_model_chi() + 0.05 * rng.normal(size=(9, 9))
-        chi = (chi + chi.conj().T) / 2
-        proj = tp_step(chi)
-        assert np.abs(tomography.tp_matrix(proj) - np.eye(3)).max() < 1e-9
-
     def test_project_physical_idempotent_on_valid_chi(self):
         chi = tomography.noisy_model_chi()
         proj = tomography.project_physical(chi)
@@ -612,12 +598,11 @@ class TestProjections:
         chi = tomography.noisy_model_chi() + 0.1 * rng.normal(size=(9, 9))
         chi = (chi + chi.conj().T) / 2
         proj = tomography.project_physical(chi)
-        # the final Dykstra step is the TP projection, so PSD holds only to
-        # the solver tolerance
-        tomography.check_process_matrix(proj, tp_tol=1e-6, psd_tol=1e-7)
+        tomography.check_process_matrix(proj)
+        assert np.abs(tomography.tp_matrix(proj) - np.eye(3)).max() < 1e-12
 
     def test_dykstra_optimality_vs_candidates(self):
-        # the Dykstra point is the Frobenius-nearest feasible point; any other
+        # the projection is the Frobenius-nearest feasible point; any other
         # feasible candidate must be at least as far from the input
         rng = np.random.default_rng(9)
         chi = tomography.noisy_model_chi() + 0.08 * rng.normal(size=(9, 9))
@@ -627,6 +612,50 @@ class TestProjections:
         for _ in range(10):
             other = random_physical_chi(rng)
             assert np.linalg.norm(chi - other) >= d_proj - 1e-7
+
+    @pytest.mark.parametrize(
+        "chi",
+        [-np.eye(9), np.zeros((9, 9)), 100 * tomography.noisy_model_chi()],
+        ids=["minus-identity", "zero", "100x-noisy-model"],
+    )
+    def test_degenerate_inputs_match_reference(self, chi):
+        # -I and 0 have no positive eigenvalue, so the Newton system at the
+        # cold start lambda = 0 is all regularization
+        proj = tomography.project_physical(chi)
+        assert np.abs(proj - ref_project_physical(chi)).max() < 1e-12
+        tomography.check_process_matrix(proj)
+
+    def test_large_input_is_projected(self):
+        # entries near 100, far outside the feasible set; the nearest point
+        # Y satisfies <X - Y, Z - Y> <= 0 for every feasible Z
+        rng = np.random.default_rng(25)
+        chi = random_hermitian_chi(rng, scale=100.0)
+        proj = tomography.project_physical(chi)
+        tomography.check_process_matrix(proj)
+        for _ in range(10):
+            other = random_physical_chi(rng)
+            assert np.vdot(chi - proj, other - proj).real < 1e-9
+
+    def test_warm_start_gives_the_cold_point(self):
+        # one dual array carried along a sequence of nearby points, as the
+        # chi fit carries it: each point as from a cold start, and the
+        # array holds the last multiplier
+        rng = np.random.default_rng(24)
+        chi = random_hermitian_chi(rng)
+        dual = np.zeros(9)
+        for _ in range(10):
+            chi = chi + 1e-3 * random_hermitian_chi(rng, scale=1.0)
+            warm = tomography.project_physical(chi, dual=dual)
+            assert np.abs(warm - tomography.project_physical(chi)).max() < 1e-12
+        before = dual.copy()
+        assert dual.any()
+        assert np.array_equal(tomography.project_physical(chi, dual=dual), warm)
+        assert np.array_equal(dual, before)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(tomography, "PROJECTION_MAX_ITER", 0)
+        with pytest.raises(SolverError, match="did not converge"):
+            tomography.project_physical(tomography.noisy_model_chi())
 
 
 class TestProcessReconstruction:
@@ -723,6 +752,18 @@ class TestProcessReconstruction:
                 algebra.MUB_KETS, rng.poisson(30.0, size=(12, 9))
             )
         assert np.array_equal(chi, chi.conj().T)
+
+    def test_fits_pass_default_tolerances_on_mc_errors_draws(self):
+        # the projection's point is PSD by construction, so a fitted chi
+        # passes the default psd_tol=1e-9 (the Dykstra fit's least eigenvalue
+        # was below -1e-9 on four of these ten draws, down to -1.27e-9)
+        inputs = dataset.reference_targets()[:9]
+        tables = list(mc_errors_counts(seed=0, trials=10))
+        for trial in range(10):
+            draw = tables[9 * trial : 9 * trial + 9]
+            states = [tomography.reconstruct_state(t, "mle") for t in draw]
+            fit = tomography.reconstruct_process(list(zip(inputs, states)))
+            tomography.check_process_matrix(fit.chi)
 
     def test_iterations_on_mc_errors_draws(self):
         # the FISTA step counts of three draws, as the fit on the 81 isometric
@@ -825,6 +866,8 @@ def probed_tp_rows(chis):
 
 
 TP_TARGET = np.r_[np.eye(3).ravel(), np.zeros(9)]
+# An orthonormal Hermitian basis of the 3x3 matrices: I / sqrt 3, lambda_a / sqrt 2
+TP_BASIS = np.array([np.eye(3) / math.sqrt(3)] + [lam / SQRT2 for lam in algebra.GELL_MANN[1:]])
 
 
 class TestParameterMaps:
@@ -833,9 +876,9 @@ class TestParameterMaps:
     def test_basis_is_read_only(self):
         with pytest.raises(ValueError):
             tomography._UNIT_CHIS[0, 0, 0] = 2.0
-        K, k = tomography._tp_map()
+        tp = (tomography._TP_ADJOINT, tomography._TP_ROWS, tomography._TP_TARGET)
         A, pinv, gram, _ = tomography._fit_design(tomography.CANONICAL_KETS)
-        assert not any(a.flags.writeable for a in (K, k, A, pinv, gram))
+        assert not any(a.flags.writeable for a in (*tp, A, pinv, gram))
 
     @pytest.mark.parametrize("family", ["mub", "canonical"])
     def test_design_operator_matches_probes(self, family):
@@ -844,12 +887,30 @@ class TestParameterMaps:
         assert A.shape == (18 * len(inputs), 162)
         assert np.abs(A - probed_design_operator(inputs)).max() < 1e-12
 
-    def test_tp_rows_match_probes(self):
-        M = probed_tp_rows(unit_chis())
-        Mp = np.linalg.pinv(M)
-        K, k = tomography._tp_map()
-        assert np.abs(K - (np.eye(162) - Mp @ M)).max() < 1e-12
-        assert np.abs(k - Mp @ TP_TARGET).max() < 1e-12
+    def test_tp_basis_is_orthonormal(self):
+        gram = np.einsum("iab,jab->ij", TP_BASIS.conj(), TP_BASIS)
+        assert np.abs(gram - np.eye(9)).max() < 1e-15
+        target = np.trace(TP_BASIS, axis1=1, axis2=2)
+        assert np.abs(tomography._TP_TARGET - target).max() < 1e-15
+
+    def test_tp_adjoint_matches_probes(self):
+        # Re<G_i, Y> = Re<E_i, tp_matrix(Y)>: on the unit chi's, and so the
+        # rows on chi.view(float), and on random Y
+        E = TP_BASIS.reshape(9, 9)
+        on_units = np.c_[E.real, E.imag] @ probed_tp_rows(unit_chis())
+        assert np.abs(tomography._TP_ROWS - on_units).max() < 1e-14
+        G = tomography._TP_ADJOINT
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            y = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            lhs = np.einsum("ilk,lk->i", G.conj(), y).real
+            rhs = np.einsum("iac,ac->i", TP_BASIS.conj(), tomography.tp_matrix(y)).real
+            assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_tp_adjoint_is_hermitian(self):
+        G = tomography._TP_ADJOINT
+        assert G.shape == (9, 9, 9)
+        assert np.array_equal(G, np.swapaxes(G.conj(), -1, -2))
 
     def test_tp_matrix_batched(self):
         chis = np.array([tomography.chi_ideal(), tomography.noisy_model_chi()])
@@ -887,10 +948,11 @@ def ref_tp_constraint():
     return M, np.linalg.pinv(M)
 
 
-# Reference oracle for the chi projections: the parameter-space TP step, the
-# u diag(w) u^dagger PSD step and the Dykstra loop over them (both
-# corrections, a symmetrization every step), which the affine map on
-# chi.view(float), the column-scaled PSD step and one correction replace.
+# Reference oracle for the chi projection: Dykstra's alternating projection
+# (both corrections, a symmetrization every step) over the parameter-space
+# TP step and the u diag(w) u^dagger PSD step, run to 1e-13. It stops when
+# the iterate has settled and its PSD and TP points agree: on -I the iterate
+# stands still for four steps while a correction grows.
 def ref_project_tp(chi):
     M, Mp = ref_tp_constraint()
     to_params, from_params = ref_param_maps()
@@ -904,7 +966,8 @@ def ref_project_psd(chi):
     return u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
 
 
-def ref_project_physical(chi, tol=1e-9, max_iter=20000):
+def ref_project_physical(chi, dual=None, tol=1e-13, max_iter=20000):
+    """Ignores ``dual``, the warm start of ``project_physical``."""
     x = np.asarray(chi, dtype=complex)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -913,7 +976,7 @@ def ref_project_physical(chi, tol=1e-9, max_iter=20000):
         p = x + p - y
         x_new = ref_project_tp(y + q)
         q = y + q - x_new
-        if np.abs(x_new - x).max() < tol:
+        if max(np.abs(x_new - x).max(), np.abs(x_new - y).max()) < tol:
             return x_new
         x = x_new
     raise AssertionError("reference Dykstra loop did not converge")
@@ -942,25 +1005,6 @@ def random_hermitian_chi(rng, scale=0.1):
 
 
 class TestProjectionOracle:
-    def test_project_tp_matches_reference(self):
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            chi = random_hermitian_chi(rng)
-            # y + q inside the Dykstra loop is Hermitian only to rounding
-            nearly = chi + 1e-15 * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-            for x in (chi, nearly):
-                assert np.abs(tp_step(x) - ref_project_tp(x)).max() < 1e-14
-
-    def test_project_tp_is_idempotent_and_commutes_with_adjoint(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            chi = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-            once = tp_step(chi)
-            assert np.abs(tomography.tp_matrix(once) - np.eye(3)).max() < 1e-13
-            assert np.abs(tp_step(once) - once).max() < 1e-13
-            adjoint = tp_step(chi.conj().T)
-            assert np.abs(adjoint - once.conj().T).max() < 1e-13
-
     def test_project_physical_matches_reference(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
@@ -970,7 +1014,7 @@ class TestProjectionOracle:
 
     def test_project_physical_of_non_hermitian_chi(self):
         # eigh reads one triangle, so a non-Hermitian input must be
-        # symmetrized before the first PSD step
+        # symmetrized before the first eigendecomposition
         rng = np.random.default_rng(23)
         for _ in range(10):
             chi = tomography.noisy_model_chi() + 0.1 * (
@@ -990,7 +1034,7 @@ class TestProjectionOracle:
 
     def test_noisy_fits_match_reference(self, monkeypatch):
         # six mc_errors-style draws at rate 150: the same FISTA steps and the
-        # same chi as with the reference Dykstra loop
+        # same chi as with the reference Dykstra loop at every step
         pairs = noisy_draw_pairs()
         fits = [tomography.reconstruct_process(draw) for draw in pairs]
         monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
@@ -1000,7 +1044,7 @@ class TestProjectionOracle:
             assert np.abs(fit.chi - ref.chi).max() < 1e-12
 
     def test_fit_projects_through_module_attribute(self, monkeypatch):
-        # perfbench --trace 1 times the Dykstra layer by wrapping this attribute
+        # perfbench --trace 1 times the projection layer by wrapping this attribute
         calls = []
         original = tomography.project_physical
 
