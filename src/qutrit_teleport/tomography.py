@@ -13,7 +13,12 @@ chi[0,0] = 1 and trace preservation reads sum_lk chi_lk s_k s_l = I.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +169,42 @@ _LBFGS_FACTR = 1e-14 / np.finfo(float).eps
 _LBFGS_PGTOL = 1e-10
 
 
+_LBFGSB = "scipy.optimize._lbfgsb"
+_LBFGSB_LOCK = threading.Lock()
+
+
+def _lbfgsb():
+    """scipy's compiled L-BFGS-B extension, loaded without ``scipy.optimize``.
+
+    Importing it by name would first run the whole ``scipy.optimize``
+    package. The module is registered under its full name, so a later
+    ``from scipy.optimize import _lbfgsb`` (scipy's own route to it) gets
+    this object. The lock keeps fits that start in several threads at once
+    to one load, and ``setdefault`` keeps an object that an import of
+    ``scipy.optimize`` in another thread registered first.
+    """
+    with _LBFGSB_LOCK:
+        module = sys.modules.get(_LBFGSB)
+        if module is None:
+            import scipy
+
+            where = os.path.join(scipy.__path__[0], "optimize")
+            spec = importlib.machinery.PathFinder.find_spec(_LBFGSB, [where])
+            if spec is None:
+                raise ImportError(
+                    f"no compiled _lbfgsb extension in {where}; the state MLE needs scipy>=1.15"
+                )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(_LBFGSB, module)
+    return module
+
+
 def _mle(counts):
-    # scipy's compiled L-BFGS-B step; imported here, so that runs without a
-    # state MLE do not load scipy
-    from scipy.optimize._lbfgsb import setulb
+    # scipy's compiled L-BFGS-B step, read off its module at each fit; the
+    # first fit loads only that extension, never scipy.optimize, and runs
+    # without a state MLE do not load scipy at all
+    setulb = _lbfgsb().setulb
 
     c = np.asarray(counts.counts, dtype=float)
     total = c.sum()

@@ -9,9 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qutrit_teleport
+from qutrit_teleport import tomography
+
+from helpers import random_density_matrix
 
 # ``__main__`` runs the CLI on import.
 MODULES = [
@@ -50,32 +54,82 @@ def test_callable_entries_defined_in_module(name):
     assert not foreign
 
 
-# Records, after each step, whether scipy.optimize is loaded.
+# Records, after each step, whether scipy.optimize and its compiled L-BFGS-B
+# extension are loaded. The first state MLEs run in two threads at once and
+# print their estimates' bytes; a later import of scipy.optimize must find the
+# extension the MLE loaded, and its minimize must still run.
 SCIPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 import qutrit_teleport.cli as cli
-loaded = ["scipy.optimize" in sys.modules]
+EXTENSION = "scipy.optimize._lbfgsb"
+optimize, extension = [], []
+
+def record():
+    optimize.append("scipy.optimize" in sys.modules)
+    extension.append(EXTENSION in sys.modules)
+
+record()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["full_reproduction"]) == 0
-loaded.append("scipy.optimize" in sys.modules)
+record()
 from qutrit_teleport import tomography
-counts = tomography.CountsTable((50, 30, 20, 40, 35, 30, 25, 45, 30))
-tomography.reconstruct_state(counts, "mle")
-loaded.append("scipy.optimize" in sys.modules)
-print(json.dumps(loaded))
+tables = [tomography.CountsTable(t) for t in json.loads(sys.argv[1])]
+barrier = threading.Barrier(2)
+rhos = [None, None]
+
+def run(k):
+    barrier.wait(timeout=60)
+    rhos[k] = [tomography.reconstruct_state(t, "mle").tobytes().hex() for t in tables]
+
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+assert not any(thread.is_alive() for thread in threads)
+record()
+loaded = sys.modules[EXTENSION]
+from scipy.optimize import _lbfgsb, minimize
+res = minimize(lambda x: ((x - 1.5) ** 2).sum(), [0.0, 0.0], method="L-BFGS-B")
+print(json.dumps({
+    "optimize": optimize,
+    "extension": extension,
+    "rhos": rhos,
+    "same_module": _lbfgsb is loaded,
+    "minimize": [bool(res.success), res.x.tolist()],
+}))
 """
 
 
 def test_scipy_loaded_only_by_the_state_mle(tmp_path):
+    rng = np.random.default_rng(24)
+    tables = [
+        tomography.simulate_counts(random_density_matrix(rng, rank), 150.0, rng).counts
+        for rank in (1, 2, 3, 3)
+    ]
     # a fresh interpreter, since this one has imported scipy already
     src = str(Path(qutrit_teleport.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(tables)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(proc.stdout) == [False, False, True]
+    probe = json.loads(proc.stdout)
+    # nothing loads scipy.optimize, the MLE included; its extension comes
+    # with the first MLE
+    assert probe["optimize"] == [False, False, False]
+    assert probe["extension"] == [False, False, True]
+    # the first fits, racing to load the extension, give this process's bits
+    expected = [
+        tomography.reconstruct_state(tomography.CountsTable(t), "mle").tobytes().hex()
+        for t in tables
+    ]
+    assert probe["rhos"] == [expected, expected]
+    assert probe["same_module"]
+    success, x = probe["minimize"]
+    assert success and np.allclose(x, 1.5)

@@ -1,10 +1,13 @@
 import functools
+import importlib.machinery
 import math
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -439,6 +442,21 @@ class TestStackedMle:
         rhos = tomography._t_to_rho(t)
         assert all(np.array_equal(rho, ref_t_to_rho(row)) for rho, row in zip(rhos, t))
         assert np.array_equal(rhos[2], np.eye(3) / 3)
+
+    def test_missing_extension_raises_import_error(self, monkeypatch):
+        # a scipy without the compiled extension: the finder returns None
+        monkeypatch.delitem(sys.modules, tomography._LBFGSB, raising=False)
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_extension(cls, name, path=None, target=None):
+            return None if name == tomography._LBFGSB else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(no_extension))
+        where = os.path.join(scipy.__path__[0], "optimize")
+        with pytest.raises(ImportError, match="scipy>=1.15") as info:
+            tomography.reconstruct_state(REPEATED_POINT_COUNTS, "mle")
+        assert where in str(info.value)
+        assert tomography._LBFGSB not in sys.modules
 
 
 class TestRepair:
