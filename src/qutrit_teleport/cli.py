@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 parse error, 3 solver error, 4 data-quality error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -47,11 +48,22 @@ def _round_floats(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _out_file(out_dir, filename):
+    """``DIR/filename`` open for writing; a failure to write it is a ParseError."""
+    try:
+        with (Path(out_dir) / filename).open("w", newline="") as f:
+            yield f
+    except OSError as e:
+        raise ParseError(f"--out {out_dir}: {filename}: {e.strerror}") from None
+
+
 def emit_report(name, config, results, out_dir=None):
     report = {"pipeline": name, "config": config, "results": _round_floats(results)}
     text = json.dumps(report, indent=2, allow_nan=False)
     if out_dir:
-        (Path(out_dir) / f"{name}.json").write_text(text + "\n")
+        with _out_file(out_dir, f"{name}.json") as f:
+            f.write(text + "\n")
     print(text)
     return report
 
@@ -60,7 +72,7 @@ def _write_csv(out_dir, name, header, rows):
     """With ``--out``, also write the series as ``DIR/<name>.csv``, floats at 6 decimals."""
     if out_dir:
         rows = ([f"{v:.6f}" if isinstance(v, float) else v for v in r] for r in rows)
-        with (Path(out_dir) / f"{name}.csv").open("w", newline="") as f:
+        with _out_file(out_dir, f"{name}.csv") as f:
             csv.writer(f).writerows([header, *rows])
 
 

@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import algebra, protocol
 from .errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
@@ -182,6 +181,13 @@ def _lbfgsb():
     this object. The lock keeps fits that start in several threads at once
     to one load, and ``setdefault`` keeps an object that an import of
     ``scipy.optimize`` in another thread registered first.
+
+    Python sets a submodule as an attribute of its package only when it
+    loads the submodule itself. So once this has run, a later ``import
+    scipy.optimize`` leaves ``scipy.optimize._lbfgsb`` unset as an
+    attribute: ``from scipy.optimize import _lbfgsb`` reaches the module,
+    and attribute access after ``import scipy.optimize._lbfgsb`` raises
+    AttributeError.
     """
     with _LBFGSB_LOCK:
         module = sys.modules.get(_LBFGSB)
@@ -279,25 +285,6 @@ def reconstruct_state(counts, method="mle"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _raise_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _eigh(a):
-    """``np.linalg.eigh(a)`` of a Hermitian matrix or stack, without its wrapper.
-
-    Calls the compiled kernel that ``np.linalg.eigh`` wraps (lower
-    triangle) under the wrapper's own error state, so a LAPACK failure,
-    as on some NaN inputs, still raises LinAlgError. The caller passes a
-    complex array of square matrices: the wrapper's type and shape checks
-    are skipped.
-    """
-    with np.errstate(
-        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        return _umath_linalg.eigh_lo(a)
-
-
 def repair_density_matrix(mat):
     """Symmetrize, clip negative eigenvalues, renormalize the trace.
 
@@ -315,7 +302,7 @@ def repair_density_matrix(mat):
     adjoint = np.swapaxes(mat.conj(), -1, -2)
     herm_resid = float(np.abs(mat - adjoint).max())
     rho = (mat + adjoint) / 2
-    w, u = _eigh(rho)
+    w, u = np.linalg.eigh(rho)
     clip_size = float(max(0.0, -w.min()))
     w = np.clip(w, 0.0, None)
     rho = u @ (w[..., None] * np.eye(w.shape[-1])) @ np.swapaxes(u.conj(), -1, -2)
@@ -532,10 +519,10 @@ def project_physical(chi, dual=None):
     Anal. Appl. 28, 360 (2006)). The generalized Jacobian <U^dagger G_i U,
     Omega o U^dagger G_j U>, with Omega the divided differences of
     max(w, 0), comes from the same eigendecomposition Z = U diag(w)
-    U^dagger through ``_eigh``. The system is regularized by
-    min(1, |F|) / 100 times I, so that a Z with no positive eigenvalue
-    still gives a step, and an Armijo search on the dual objective
-    globalizes it. Y is PSD by construction and TP to ``PROJECTION_TOL``.
+    U^dagger. The system is regularized by min(1, |F|) / 100 times I, so
+    that a Z with no positive eigenvalue still gives a step, and an Armijo
+    search on the dual objective globalizes it. Y is PSD by construction
+    and TP to ``PROJECTION_TOL``.
 
     ``dual`` is an optional float array of shape (9,): the solve starts
     from it and, once converged, writes its final multiplier back, so that
@@ -547,7 +534,7 @@ def project_physical(chi, dual=None):
     lam = trial = np.zeros(_N) if dual is None else np.array(dual, dtype=float)
     accepted = None  # the dual objective at lam, once lam is evaluated
     for _ in range(PROJECTION_MAX_ITER):
-        w, u = _eigh(x + (trial @ _TP_ROWS).view(complex).reshape(_N, _N))
+        w, u = np.linalg.eigh(x + (trial @ _TP_ROWS).view(complex).reshape(_N, _N))
         pos = np.maximum(w, 0.0)
         theta = 0.5 * (pos @ pos) - _TP_TARGET @ trial
         if accepted is not None and theta > (

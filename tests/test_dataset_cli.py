@@ -465,6 +465,21 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv, filename",
+        [(["process"], "process.json"), (["mub_study", "--trials", "2"], "mub_study.csv")],
+        ids=["json", "csv"],
+    )
+    def test_unwritable_report_file_exits_parse(self, argv, filename, capsys, tmp_path):
+        # a directory stands where the report file goes
+        (tmp_path / filename).mkdir()
+        code = cli.main([*argv, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.err.startswith(f"parse error: --out {tmp_path}: {filename}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mc_errors", "--trials", "1"],

@@ -1,6 +1,8 @@
 """The package's public surface: every module's ``__all__`` names only what
-the module itself defines, and importing it loads no more than it needs."""
+the module itself defines, no module imports a private name of another
+package, and importing it loads no more than it needs."""
 
+import ast
 import importlib
 import json
 import os
@@ -52,6 +54,31 @@ def test_callable_entries_defined_in_module(name):
         and getattr(getattr(module, entry), "__module__", None) != module.__name__
     ]
     assert not foreign
+
+
+def imported_names(tree):
+    """The dotted names each absolute import statement in ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module != "__future__":
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_private_imports_of_other_packages():
+    # scipy's L-BFGS-B extension, the one private dependency, is loaded by
+    # path in tomography._lbfgsb, not by an import statement
+    package = Path(qutrit_teleport.__file__).parent
+    private = [
+        f"{path.name}: {name}"
+        for path in sorted(package.rglob("*.py"))
+        for name in imported_names(ast.parse(path.read_text(), filename=str(path)))
+        if name.split(".")[0] != "qutrit_teleport"
+        and any(part.startswith("_") for part in name.split("."))
+    ]
+    assert not private
 
 
 # Records, after each step, whether scipy.optimize and its compiled L-BFGS-B

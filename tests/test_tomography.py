@@ -619,7 +619,7 @@ class TestProjections:
         tomography.check_process_matrix(proj)
         assert np.abs(tomography.tp_matrix(proj) - np.eye(3)).max() < 1e-12
 
-    def test_dykstra_optimality_vs_candidates(self):
+    def test_optimality_vs_candidates(self):
         # the projection is the Frobenius-nearest feasible point; any other
         # feasible candidate must be at least as far from the input
         rng = np.random.default_rng(9)
@@ -1073,67 +1073,6 @@ class TestProjectionOracle:
         monkeypatch.setattr(tomography, "project_physical", counting)
         fit = tomography.reconstruct_process(published_pairs())
         assert len(calls) == fit.n_iterations + 1
-
-
-class TestEighKernel:
-    """``tomography._eigh`` keeps the contract of ``np.linalg.eigh``."""
-
-    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["single", "stack", "stack-2d"])
-    @pytest.mark.parametrize("n", [3, 9])
-    def test_bit_equal_to_numpy_eigh(self, n, lead):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            g = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
-            a = g + np.swapaxes(g.conj(), -1, -2)
-            w, u = tomography._eigh(a)
-            ref_w, ref_u = np.linalg.eigh(a)
-            assert w.dtype == ref_w.dtype and u.dtype == ref_u.dtype
-            assert w.tobytes() == ref_w.tobytes()
-            assert u.tobytes() == ref_u.tobytes()
-
-    @pytest.mark.parametrize("n", [3, 9])
-    def test_nan_input_fails_as_numpy_eigh_does(self, n):
-        # LAPACK fails on some NaN placements and returns NaNs on others;
-        # the wrapper raises LinAlgError on the first, and so must _eigh
-        def outcome(eigh, a):
-            try:
-                return b"".join(x.tobytes() for x in eigh(a))
-            except np.linalg.LinAlgError as exc:
-                return str(exc)
-
-        outcomes = []
-        for i, j in zip(*np.tril_indices(n)):
-            a = np.eye(n, dtype=complex)
-            a[i, j] = np.nan
-            outcomes.append(outcome(tomography._eigh, a))
-            assert outcomes[-1] == outcome(np.linalg.eigh, a)
-        assert "Eigenvalues did not converge" in outcomes
-
-    def test_leaves_error_state_as_found(self):
-        nan = np.eye(3, dtype=complex)
-        nan[2, 0] = np.nan  # a placement on which LAPACK fails
-
-        def handler(err, flag):
-            pass
-
-        for state in ({"all": "raise"}, {"all": "ignore", "invalid": "call"}):
-            with np.errstate(call=handler, **state):
-                before = np.geterr(), np.geterrcall()
-                tomography._eigh(np.eye(3, dtype=complex))
-                with pytest.raises(np.linalg.LinAlgError):
-                    tomography._eigh(nan)
-                assert (np.geterr(), np.geterrcall()) == before
-
-    def test_fits_equal_with_numpy_eigh(self, monkeypatch):
-        # the published pairs and the six seed-5 draws: the same chi bits and
-        # the same FISTA steps as through the wrapper
-        draws = [published_pairs()] + noisy_draw_pairs()
-        fits = [tomography.reconstruct_process(draw) for draw in draws]
-        monkeypatch.setattr(tomography, "_eigh", np.linalg.eigh)
-        for draw, fit in zip(draws, fits):
-            ref = tomography.reconstruct_process(draw)
-            assert fit.n_iterations == ref.n_iterations
-            assert fit.chi.tobytes() == ref.chi.tobytes()
 
 
 class TestDesignCache:
