@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -48,32 +49,47 @@ def _round_floats(obj):
     return obj
 
 
-@contextlib.contextmanager
-def _out_file(out_dir, filename):
-    """``DIR/filename`` open for writing; a failure to write it is a ParseError."""
+def _write_out(out_dir, texts):
+    """Write each text of ``texts`` to ``DIR/filename``, in its order.
+
+    Every file is opened before any is written, so a file that cannot be
+    opened leaves no later one behind; a failure to open or write a file
+    is a ParseError that names it.
+    """
     try:
-        with (Path(out_dir) / filename).open("w", newline="") as f:
-            yield f
+        with contextlib.ExitStack() as stack:
+            files = []
+            for filename in texts:
+                files.append(stack.enter_context((Path(out_dir) / filename).open("w", newline="")))
+            for f, (filename, text) in zip(files, texts.items()):
+                with f:
+                    f.write(text)
     except OSError as e:
         raise ParseError(f"--out {out_dir}: {filename}: {e.strerror}") from None
 
 
-def emit_report(name, config, results, out_dir=None):
+def emit_report(name, config, results, out_dir=None, table=None):
+    """Print the JSON report; with ``out_dir``, write it as ``DIR/<name>.json`` first.
+
+    ``table`` is an optional series (header, rows), written with ``out_dir``
+    as ``DIR/<name>.csv`` with floats at 6 decimals. The CSV is opened
+    before the JSON, and both before either is written or the report is
+    printed, so a file that cannot be written leaves no report behind.
+    """
     report = {"pipeline": name, "config": config, "results": _round_floats(results)}
     text = json.dumps(report, indent=2, allow_nan=False)
     if out_dir:
-        with _out_file(out_dir, f"{name}.json") as f:
-            f.write(text + "\n")
+        texts = {}
+        if table is not None:
+            header, rows = table
+            rows = ([f"{v:.6f}" if isinstance(v, float) else v for v in r] for r in rows)
+            sheet = io.StringIO()
+            csv.writer(sheet).writerows([header, *rows])
+            texts[f"{name}.csv"] = sheet.getvalue()
+        texts[f"{name}.json"] = text + "\n"
+        _write_out(out_dir, texts)
     print(text)
     return report
-
-
-def _write_csv(out_dir, name, header, rows):
-    """With ``--out``, also write the series as ``DIR/<name>.csv``, floats at 6 decimals."""
-    if out_dir:
-        rows = ([f"{v:.6f}" if isinstance(v, float) else v for v in r] for r in rows)
-        with _out_file(out_dir, f"{name}.csv") as f:
-            csv.writer(f).writerows([header, *rows])
 
 
 def _checked(convert, ok, requirement):
@@ -196,9 +212,9 @@ def cmd_certify(args):
             chi, log = dataset.reference_chi()
         summary, phases, mus = _certify_grid(chi, _grid_shape(args.grid), args.closed_interval)
         config = {"grid": args.grid, "closed_interval": args.closed_interval, "matrix": path}
-        emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out)
         rows = [(*p, mu, v) for p, mu, v in zip(phases, mus, certify.verdict(mus))]
-        _write_csv(args.out, "certify_batch", ("phi1", "phi2", "mu", "verdict"), rows)
+        table = ("phi1", "phi2", "mu", "verdict"), rows
+        emit_report("certify_batch", config, {**summary, "adjustments": log}, args.out, table)
         return 0
     mat = args.matrix.matrix if args.matrix else np.eye(3) / 3.0
     rho, log = dataset.repair_and_log_density(mat)
@@ -245,9 +261,8 @@ def cmd_mc_errors(args):
 def cmd_mub_study(args):
     results = mc.mub_design_study(rate=args.exposure, trials=args.trials, seed=args.seed)
     config = {"seed": args.seed, "trials": args.trials, "rate": args.exposure}
-    emit_report("mub_study", config, results, args.out)
     rows = [(d, results[f"mean_{d}"], results[f"err_{d}"]) for d in ("mub", "nonmub")]
-    _write_csv(args.out, "mub_study", ("design", "value", "error"), rows)
+    emit_report("mub_study", config, results, args.out, (("design", "value", "error"), rows))
     return 0
 
 
@@ -261,9 +276,8 @@ def cmd_convergence(args):
     )
     results = {"n_states": res.x_grid, "errors": res.errors, "converged_value": res.converged_value}
     config = {k: getattr(args, k) for k in ("seed", "trials", "exposure", "statistic")}
-    emit_report("convergence", config, results, args.out)
     rows = [(n, res.converged_value, err) for n, err in zip(res.x_grid, res.errors)]
-    _write_csv(args.out, "convergence", ("n_states", "value", "error"), rows)
+    emit_report("convergence", config, results, args.out, (("n_states", "value", "error"), rows))
     return 0
 
 

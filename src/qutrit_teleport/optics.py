@@ -475,13 +475,6 @@ def visibility_damping_factor(model, coherence):
     raise ValueError(f"unknown coherence pair {coherence}")
 
 
-def mix_white_noise(rho, fraction):
-    """Optional double-pair-emission model: white-noise admixture."""
-    if not 0 <= fraction <= 1:
-        raise ValueError("noise fraction must lie in [0, 1]")
-    return (1 - fraction) * rho + fraction * np.eye(3) / 3.0
-
-
 __all__ = [
     "Mode",
     "FockState",
@@ -501,5 +494,4 @@ __all__ = [
     "run_circuit",
     "run_teleportation",
     "visibility_damping_factor",
-    "mix_white_noise",
 ]

@@ -650,6 +650,19 @@ class TestCsv:
             for n, e in zip([1, 2, 5, 10, 20, 50], r["errors"], strict=True)
         ]
 
+    @pytest.mark.parametrize("name", FOLDED)
+    def test_unwritable_csv_leaves_no_report(self, name, capsys, tmp_path):
+        # a directory stands where the CSV goes: nothing is printed, and the
+        # JSON report is not written either
+        (tmp_path / f"{name}.csv").mkdir()
+        code = cli.main([*FOLDED[name], "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.err.startswith(f"parse error: --out {tmp_path}: {name}.csv: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / f"{name}.json").exists()
+
     def test_no_csv_without_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert [cli.main(argv) for argv in FOLDED.values()] == [0, 0, 0]

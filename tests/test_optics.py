@@ -489,18 +489,6 @@ class TestKrausCompile:
             assert abs(rho[i, i] - ideal[i, i]) < 1e-12
 
 
-class TestWhiteNoise:
-    def test_mixing(self):
-        rho = algebra.projector(algebra.ket(0))
-        mixed = optics.mix_white_noise(rho, 0.3)
-        assert abs(np.trace(mixed).real - 1.0) < 1e-12
-        assert abs(mixed[1, 1] - 0.1) < 1e-12
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            optics.mix_white_noise(np.eye(3) / 3, 1.5)
-
-
 class TestCircuitBuilder:
     def test_stage_names(self):
         assert optics.STAGE_NAMES == ("INPUT", "PBS1", "BD1_BD3", "HWPS", "BD2_BD4", "AUX_PBS", "HWP1_4")

@@ -605,6 +605,11 @@ class TestTwoDesignConsistency:
         assert abs(np.mean(vals) - f_formula) < 0.005
 
 
+def warm_start_arrays(warm):
+    """Copies of every array a ProjectionWarmStart holds."""
+    return [np.copy(a) for a in (warm.x, warm.dual, *warm.basis, warm.chord)]
+
+
 class TestProjections:
     def test_project_physical_idempotent_on_valid_chi(self):
         chi = tomography.noisy_model_chi()
@@ -655,20 +660,56 @@ class TestProjections:
             assert np.vdot(chi - proj, other - proj).real < 1e-9
 
     def test_warm_start_gives_the_cold_point(self):
-        # one dual array carried along a sequence of nearby points, as the
-        # chi fit carries it: each point as from a cold start, and the
-        # array holds the last multiplier
+        # one warm start carried along a sequence of points, as the chi fit
+        # carries it: nearby steps, points where the count of nonpositive
+        # eigenvalues at the solution changes, a far jump, and -I, which has
+        # no positive eigenvalue; each point as from a cold start
         rng = np.random.default_rng(24)
         chi = random_hermitian_chi(rng)
-        dual = np.zeros(9)
+        points = []
         for _ in range(10):
             chi = chi + 1e-3 * random_hermitian_chi(rng, scale=1.0)
-            warm = tomography.project_physical(chi, dual=dual)
-            assert np.abs(warm - tomography.project_physical(chi)).max() < 1e-12
-        before = dual.copy()
-        assert dual.any()
-        assert np.array_equal(tomography.project_physical(chi, dual=dual), warm)
-        assert np.array_equal(dual, before)
+            points.append(chi)
+        points += [
+            tomography.noisy_model_chi(),
+            random_hermitian_chi(rng, scale=0.03),
+            random_hermitian_chi(rng, scale=10.0),
+            -np.eye(9),
+            chi,
+        ]
+        warm = tomography.ProjectionWarmStart()
+        ranks = []
+        for chi in points:
+            proj = tomography.project_physical(chi, warm)
+            assert np.abs(proj - tomography.project_physical(chi)).max() < 1e-12
+            ranks.append(int((np.linalg.eigvalsh(proj) > 1e-9).sum()))
+        assert len(set(ranks)) >= 3
+        # the same input again: the same bits, and the warm start as it was
+        before = warm_start_arrays(warm)
+        assert warm.dual.any()
+        assert np.array_equal(tomography.project_physical(chi, warm), proj)
+        after = warm_start_arrays(warm)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+
+    @pytest.mark.parametrize("where", [(2, 2), (2, 3)], ids=["diagonal", "off-diagonal"])
+    def test_nan_input_raises_linalg_error(self, where):
+        # numpy's eigh fails on the NaN, cold and after the warm start has
+        # predicted a multiplier from it; the warm start keeps its last point
+        rng = np.random.default_rng(26)
+        chi = random_hermitian_chi(rng)
+        warm = tomography.ProjectionWarmStart()
+        for _ in range(3):
+            chi = chi + 1e-3 * random_hermitian_chi(rng, scale=1.0)
+            tomography.project_physical(chi, warm)
+        assert warm.chord is not None
+        bad = chi.copy()
+        bad[where] = np.nan
+        before = warm_start_arrays(warm)
+        for start in (None, warm):
+            with pytest.raises(np.linalg.LinAlgError):
+                tomography.project_physical(bad, start)
+        after = warm_start_arrays(warm)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(tomography, "PROJECTION_MAX_ITER", 0)
@@ -984,8 +1025,8 @@ def ref_project_psd(chi):
     return u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
 
 
-def ref_project_physical(chi, dual=None, tol=1e-13, max_iter=20000):
-    """Ignores ``dual``, the warm start of ``project_physical``."""
+def ref_project_physical(chi, warm=None, tol=1e-13, max_iter=20000):
+    """Ignores ``warm``, the warm start of ``project_physical``."""
     x = np.asarray(chi, dtype=complex)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -1073,6 +1114,25 @@ class TestProjectionOracle:
         monkeypatch.setattr(tomography, "project_physical", counting)
         fit = tomography.reconstruct_process(published_pairs())
         assert len(calls) == fit.n_iterations + 1
+
+    def test_published_fit_eigendecompositions(self, monkeypatch):
+        # the warm start predicts each multiplier to first order, so most
+        # projections need one or two eigendecompositions: 453 for the 264
+        # steps of the published fit, against 613 from the last multiplier
+        # alone
+        pairs = published_pairs()
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fit = tomography.reconstruct_process(pairs)
+        assert fit.n_iterations == 264
+        assert set(calls) == {(9, 9)}
+        assert len(calls) <= 500
 
 
 class TestDesignCache:
