@@ -50,21 +50,28 @@ def _round_floats(obj):
 
 
 def _write_out(out_dir, texts):
-    """Write each text of ``texts`` to ``DIR/filename``, in its order.
+    """Write each text of ``texts`` to ``DIR/filename``; a failure is a ParseError naming the file.
 
-    Every file is opened before any is written, so a file that cannot be
-    opened leaves no later one behind; a failure to open or write a file
-    is a ParseError that names it.
+    Every file is open before any is written, and opening one changes
+    nothing in it, so a file that cannot be opened or written leaves the
+    others as they were: those that this call created are removed again.
     """
+    created = []
     try:
         with contextlib.ExitStack() as stack:
             files = []
             for filename in texts:
-                files.append(stack.enter_context((Path(out_dir) / filename).open("w", newline="")))
+                path = Path(out_dir) / filename
+                if not path.exists():
+                    created.append(path)
+                files.append(stack.enter_context(path.open("a", newline="")))
             for f, (filename, text) in zip(files, texts.items()):
                 with f:
+                    f.truncate(0)
                     f.write(text)
     except OSError as e:
+        for path in created:
+            path.unlink(missing_ok=True)
         raise ParseError(f"--out {out_dir}: {filename}: {e.strerror}") from None
 
 
@@ -72,21 +79,20 @@ def emit_report(name, config, results, out_dir=None, table=None):
     """Print the JSON report; with ``out_dir``, write it as ``DIR/<name>.json`` first.
 
     ``table`` is an optional series (header, rows), written with ``out_dir``
-    as ``DIR/<name>.csv`` with floats at 6 decimals. The CSV is opened
-    before the JSON, and both before either is written or the report is
-    printed, so a file that cannot be written leaves no report behind.
+    as ``DIR/<name>.csv`` with floats at 6 decimals. Both files are open
+    before either is written or the report is printed, so a file that
+    cannot be written leaves no report behind.
     """
     report = {"pipeline": name, "config": config, "results": _round_floats(results)}
     text = json.dumps(report, indent=2, allow_nan=False)
     if out_dir:
-        texts = {}
+        texts = {f"{name}.json": text + "\n"}
         if table is not None:
             header, rows = table
             rows = ([f"{v:.6f}" if isinstance(v, float) else v for v in r] for r in rows)
             sheet = io.StringIO()
             csv.writer(sheet).writerows([header, *rows])
             texts[f"{name}.csv"] = sheet.getvalue()
-        texts[f"{name}.json"] = text + "\n"
         _write_out(out_dir, texts)
     print(text)
     return report

@@ -650,18 +650,25 @@ class TestCsv:
             for n, e in zip([1, 2, 5, 10, 20, 50], r["errors"], strict=True)
         ]
 
+    @pytest.mark.parametrize("earlier", [None, "an earlier report\n"], ids=["new", "earlier"])
     @pytest.mark.parametrize("name", FOLDED)
-    def test_unwritable_csv_leaves_no_report(self, name, capsys, tmp_path):
+    def test_unwritable_csv_leaves_no_report(self, name, earlier, capsys, tmp_path):
         # a directory stands where the CSV goes: nothing is printed, and the
-        # JSON report is not written either
+        # JSON report is neither written nor left empty; an earlier one stays
         (tmp_path / f"{name}.csv").mkdir()
+        report = tmp_path / f"{name}.json"
+        if earlier:
+            report.write_text(earlier)
         code = cli.main([*FOLDED[name], "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_PARSE
         assert captured.err.startswith(f"parse error: --out {tmp_path}: {name}.csv: ")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
-        assert not (tmp_path / f"{name}.json").exists()
+        if earlier:
+            assert report.read_text() == earlier
+        else:
+            assert not report.exists()
 
     def test_no_csv_without_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
