@@ -16,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -32,6 +33,9 @@ EXIT_CHECK_FAILED = 5
 
 # numpy's Poisson sampler refuses means above about 9.2e18.
 MAX_EXPOSURE = 1e18
+# A certified grid state holds about 1.5 KB until the report is written, so
+# the largest grid, 1000x1000, peaks near 1.5 GB.
+MAX_GRID_STATES = 1_000_000
 
 
 def _round_floats(obj):
@@ -348,14 +352,19 @@ def cmd_full_reproduction(args):
 # Each subcommand takes only the options it reads, plus --out. Every value
 # is checked while parsing, before --out is created: numpy's generators take
 # only non-negative seeds, an ensemble std needs two trials, Poisson means
-# need the exposure (or rate) positive and bounded, the report records the
-# grid's text and the matrix path as given, and a matrix file is read then
-# (its size, which depends on --batch, right after parsing).
+# need the exposure (or rate) positive and bounded, a grid is held in memory
+# whole, the report records the grid's text and the matrix path as given,
+# and a matrix file is read then (its size, which depends on --batch, right
+# after parsing).
 _seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
 _trials = _checked(int, lambda n: n >= 2, "must be an integer of at least 2")
 _visibility = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _exposure = _checked(float, lambda x: 0 < x <= MAX_EXPOSURE, f"must lie in (0, {MAX_EXPOSURE:g}]")
-_grid = _checked(str, lambda s: min(_grid_shape(s)) >= 1, "must look like 20x20, sizes at least 1")
+_grid = _checked(
+    str,
+    lambda s: min(_grid_shape(s)) >= 1 and math.prod(_grid_shape(s)) <= MAX_GRID_STATES,
+    f"must look like 20x20, sizes at least 1, at most {MAX_GRID_STATES} states",
+)
 _OPTIONS = {
     "seed": ("--seed", {"type": _seed, "default": 0}),
     "trials": ("--trials", {"type": _trials, "default": 100}),

@@ -1,4 +1,4 @@
-"""Bundled reference data and matrix (de)serialization.
+"""Bundled reference data and matrix file parsing.
 
 The fixtures directory carries the ten published teleported-state
 density matrices (rho1 .. rho10, rounded to three decimals) and the
@@ -50,19 +50,6 @@ LISTED_N_SIMULABLE = 149
 LISTED_N_GENUINE = 251
 LISTED_MEAN_MU = 0.111
 LISTED_STD_MU = 0.034
-
-
-def matrix_to_json(mat):
-    mat = np.asarray(mat, dtype=complex)
-    return {
-        "dim": mat.shape[0],
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in mat],
-    }
-
-
-def save_matrix(mat, path):
-    with open(path, "w") as f:
-        json.dump(matrix_to_json(mat), f, indent=1)
 
 
 def _is_finite_number(v):
@@ -219,8 +206,6 @@ __all__ = [
     "LISTED_N_GENUINE",
     "LISTED_MEAN_MU",
     "LISTED_STD_MU",
-    "matrix_to_json",
-    "save_matrix",
     "parse_matrix",
     "load_matrix",
     "repair_and_log_density",

@@ -517,9 +517,9 @@ class ProjectionWarmStart:
     The Hermitian input X0 and the TP multiplier lambda0 of the last
     converged projection, and its last Newton linearization: the
     eigenvectors U with the adjoint U_P^dagger of their positive columns,
-    and the chord map J^-1 W, with J the regularized Jacobian and W the
-    Omega-weighted images of the G_i in that basis. A new one starts the
-    solve at lambda = 0, as no warm start does.
+    and the pair (J^-1, W) of the chord step, with J the regularized
+    Jacobian and W the Omega-weighted images of the G_i in that basis. A
+    new one starts the solve at lambda = 0, as no warm start does.
     """
 
     __slots__ = ("x", "dual", "basis", "chord")
@@ -553,8 +553,10 @@ def project_physical(chi, warm=None):
     predicts its multiplier to first order, before any eigendecomposition:
     one chord step lambda0 - J^-1 <G_i, DP[X - X0]> from the last
     multiplier, with the derivative DP of the PSD projection and J taken
-    from the stored linearization. Once converged, it stores X, its
-    multiplier and its last linearization back, so that a caller
+    from the stored linearization: <G_i, DP[H]> is W applied to
+    U_P^dagger H U. Each Newton step inverts its 9x9 J once, for its own
+    step and for that chord. Once converged, it stores X, its multiplier
+    and its last linearization back, so that a caller
     projecting a sequence of nearby points (the chi fit's FISTA steps)
     warm-starts each from the last: about 1.7 eigendecompositions per
     projection inside a fit. Without it the solve starts at lambda = 0.
@@ -562,22 +564,25 @@ def project_physical(chi, warm=None):
     x = np.asarray(chi, dtype=complex)
     x = (x + x.conj().T) / 2  # once: eigh reads only one triangle
     lam = trial = np.zeros(_N) if warm is None else warm.dual
-    linearization = None  # this solve's last (basis, chord map)
+    linearization = None  # this solve's last (basis, chord)
     if warm is not None and warm.chord is not None:
         back, u = warm.basis
-        lam = trial = lam - warm.chord @ (back @ (x - warm.x) @ u).view(float).ravel()
-    accepted = None  # the dual objective at lam, once lam is evaluated
+        inverse, weighted = warm.chord
+        lam = trial = lam - inverse @ (weighted @ (back @ (x - warm.x) @ u).view(float).ravel())
+    accepted = None  # the dual objective at lam, once a Newton step needs it
     for _ in range(PROJECTION_MAX_ITER):
         w, u = np.linalg.eigh(x + (trial @ _TP_ROWS).view(complex).reshape(_N, _N))
         pos = np.maximum(w, 0.0)
-        theta = 0.5 * (pos @ pos) - _TP_TARGET @ trial
-        if accepted is not None and theta > (
-            accepted + _ARMIJO_FRACTION * t * slope + _ARMIJO_SLACK * max(1.0, abs(accepted))
-        ):
-            t /= 2
-            trial = lam + t * d
-            continue
-        lam, accepted = trial, theta
+        if accepted is not None:
+            theta = 0.5 * (pos @ pos) - _TP_TARGET @ trial
+            if theta > (
+                accepted + _ARMIJO_FRACTION * t * slope + _ARMIJO_SLACK * max(1.0, abs(accepted))
+            ):
+                t /= 2
+                trial = lam + t * d
+                continue
+            accepted = theta
+        lam = trial
         y = (u * pos) @ u.conj().T
         f = _TP_ROWS @ y.view(float).ravel() - _TP_TARGET
         if np.abs(f).max() < PROJECTION_TOL:
@@ -586,6 +591,8 @@ def project_physical(chi, warm=None):
                 if linearization is not None:
                     warm.basis, warm.chord = linearization
             return y
+        if accepted is None:
+            accepted = 0.5 * (pos @ pos) - _TP_TARGET @ lam
         # eigh sorts w ascending: the k nonpositive eigenvalues come first.
         # Over the positive rows a, Omega o (U^dagger G_i U) weighs column b
         # by 1 if w_b > 0 and by w_a / (w_a - w_b) if not; the mirrored
@@ -595,16 +602,14 @@ def project_physical(chi, warm=None):
         back = u[:, k:].conj().T
         images = (back @ _TP_ADJOINT_ROW).reshape(-1, _N) @ u
         images = images.reshape(_N - k, _N, _N).transpose(1, 0, 2).reshape(_N, -1)
-        omega = np.ones((_N - k, _N))
-        omega[:, :k] = 2 * w[k:, None] / (w[k:, None] - w[:k])
-        weighted = (images * omega.ravel()).view(float)
+        weighted = images.copy()
+        weighted.reshape(_N, _N - k, _N)[:, :, :k] *= 2 * w[k:, None] / (w[k:, None] - w[:k])
+        weighted = weighted.view(float)
         jac = weighted @ images.view(float).T
         jac.flat[:: _N + 1] += _NEWTON_REGULARIZATION * min(1.0, math.sqrt(f @ f))
-        # the Newton step, and the chord map J^-1 o weighted of the next
-        # prediction, from one factorization
-        steps = np.linalg.solve(jac, np.concatenate([-f[:, None], weighted], axis=1))
-        d = steps[:, 0]
-        linearization = (back, u), steps[:, 1:]
+        inverse = np.linalg.inv(jac)
+        d = -(inverse @ f)
+        linearization = (back, u), (inverse, weighted)
         slope, t = f @ d, 1.0
         trial = lam + d
     raise SolverError("chi projection did not converge")
@@ -632,11 +637,11 @@ def reconstruct_process(pairs):
     One ``ProjectionWarmStart`` is passed to every projection, so each
     predicts its TP multiplier from the last one's linearization: about
     1.7 eigendecompositions per step, 453 for the 264 steps of the
-    published fit. The misfit is evaluated only once a step is below
-    ``FIT_TOL``. Returns a ProcessFit with the Hermitian part of the final
-    iterate and its residual. FISTA starts from the projected
-    unconstrained least-squares chi, the fit that ``linear_process_fit``
-    makes after its linear inversion.
+    published fit, and one 9x9 inverse per Newton step. The misfit is
+    evaluated only once a step is below ``FIT_TOL``. Returns a ProcessFit
+    with the Hermitian part of the final iterate and its residual. FISTA
+    starts from the projected unconstrained least-squares chi, the fit
+    that ``linear_process_fit`` makes after its linear inversion.
     """
     if len(pairs) < _N:
         raise IllPosedError(f"need at least {_N} input/output pairs, got {len(pairs)}")

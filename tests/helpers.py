@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import json
+
 import numpy as np
 
 
@@ -21,3 +23,18 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def matrix_to_json(mat):
+    """``mat`` in the schema ``dataset.load_matrix`` reads."""
+    mat = np.asarray(mat, dtype=complex)
+    return {
+        "dim": mat.shape[0],
+        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in mat],
+    }
+
+
+def save_matrix(mat, path):
+    """Write ``mat`` as a matrix JSON file, as ``--matrix`` reads it."""
+    with open(path, "w") as f:
+        json.dump(matrix_to_json(mat), f, indent=1)

@@ -11,7 +11,7 @@ import pytest
 from qutrit_teleport import algebra, certify, cli, dataset, mc, tomography
 from qutrit_teleport.errors import DataQualityError, ParseError, SolverError
 
-from helpers import count_calls
+from helpers import count_calls, matrix_to_json, save_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY_MIXED = Path(__file__).resolve().parent / "fixtures" / "identity_mixed.json"
@@ -27,7 +27,7 @@ class TestMatrixSchema:
         rng = np.random.default_rng(0)
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         path = tmp_path / "m.json"
-        dataset.save_matrix(mat, path)
+        save_matrix(mat, path)
         back = dataset.load_matrix(path)
         assert np.abs(back - mat).max() < 1e-12
 
@@ -109,21 +109,21 @@ class TestReferenceData:
 class TestIngest:
     def test_density_kind(self, tmp_path):
         path = tmp_path / "rho.json"
-        dataset.save_matrix(np.eye(3) / 3, path)
+        save_matrix(np.eye(3) / 3, path)
         rho, log = ingest(path, dataset.repair_and_log_density)
         assert rho.shape == (3, 3)
         assert max(log.values()) < 1e-9
 
     def test_process_kind(self, tmp_path):
         path = tmp_path / "chi.json"
-        dataset.save_matrix(tomography.noisy_model_chi(), path)
+        save_matrix(tomography.noisy_model_chi(), path)
         chi, log = ingest(path, dataset.repair_and_log_process)
         assert chi.shape == (9, 9)
         assert not log["converted_from_choi_normalized"]
 
     def test_trace_090_data_quality_error(self, tmp_path):
         path = tmp_path / "low_trace.json"
-        dataset.save_matrix(0.90 * np.eye(3) / 3, path)
+        save_matrix(0.90 * np.eye(3) / 3, path)
         with pytest.raises(DataQualityError):
             ingest(path, dataset.repair_and_log_density)
 
@@ -132,7 +132,7 @@ class TestIngest:
         scale = np.array([math.sqrt(3.0)] + [math.sqrt(2.0)] * 8)
         chi_on = tomography.noisy_model_chi() * np.outer(scale, scale) / 3.0
         path = tmp_path / "chi_on.json"
-        dataset.save_matrix(chi_on, path)
+        save_matrix(chi_on, path)
         chi, log = ingest(path, dataset.repair_and_log_process)
         assert log["converted_from_choi_normalized"]
         assert np.abs(chi - tomography.noisy_model_chi()).max() < 1e-6
@@ -164,7 +164,7 @@ def non_number_files(tmp_path_factory):
     files = {}
     for shape, mat in (("3x3", np.eye(3) / 3), ("9x9", tomography.noisy_model_chi())):
         for name, value in NON_NUMBERS.items():
-            doc = dataset.matrix_to_json(mat)
+            doc = matrix_to_json(mat)
             doc["entries"][0][1][0] = value
             path = out_dir / f"{shape}-{name}.json"
             path.write_text(json.dumps(doc))
@@ -193,7 +193,7 @@ def unrepairable_files(tmp_path_factory):
         ("tiny", np.full((3, 3), 1e-320)),
     ):
         files[name] = str(out_dir / f"{name}.json")
-        dataset.save_matrix(mat, files[name])
+        save_matrix(mat, files[name])
     return files
 
 
@@ -220,7 +220,7 @@ class TestCli:
 
     def test_certify_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "psi.json"
-        dataset.save_matrix(algebra.projector(np.ones(3) / math.sqrt(3)), path)
+        save_matrix(algebra.projector(np.ones(3) / math.sqrt(3)), path)
         code, report = self.run(["certify", "--matrix", str(path)], capsys)
         assert code == 0
         assert report["results"]["verdict"] == "genuine_qutrit"
@@ -234,7 +234,7 @@ class TestCli:
 
     def test_data_quality_exit_code(self, capsys, tmp_path):
         path = tmp_path / "low.json"
-        dataset.save_matrix(0.9 * np.eye(3) / 3, path)
+        save_matrix(0.9 * np.eye(3) / 3, path)
         code = cli.main(["certify", "--matrix", str(path)])
         assert code == cli.EXIT_DATA_QUALITY
 
@@ -245,7 +245,7 @@ class TestCli:
         chi = tomography.noisy_model_chi(0.7)
         chi[0, 1] += 0.01j
         path = tmp_path / "chi.json"
-        dataset.save_matrix(chi, path)
+        save_matrix(chi, path)
         argv = ["certify", "--batch", "--grid", "1x1", "--matrix", str(path)]
         code, report = self.run(argv, capsys)
         assert code == 0
@@ -254,6 +254,29 @@ class TestCli:
     def test_bad_grid_spec(self, capsys):
         code = cli.main(["certify", "--batch", "--grid", "garbage"])
         assert code == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("command", [["certify", "--batch"], ["full_reproduction"]])
+    @pytest.mark.parametrize("grid", ["1001x1000", "1x1000001", "100000x100000"])
+    def test_oversized_grid_exits_parse(self, command, grid, capsys, monkeypatch, tmp_path):
+        # refused while parsing; a grid that got past the parser fails here
+        # instead of being built
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "_certify_grid", refuse)
+        out = tmp_path / "out"
+        code = cli.main([*command, "--grid", grid, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: argument --grid: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_largest_grid_parses(self):
+        # parsed only: certifying a million states takes seconds and about 1.5 GB
+        args = cli.build_parser().parse_args(["certify", "--batch", "--grid", "1000x1000"])
+        assert math.prod(cli._grid_shape(args.grid)) == cli.MAX_GRID_STATES
 
     @pytest.mark.parametrize(
         "argv",
@@ -365,7 +388,7 @@ class TestCli:
         # checked before any work: a 9x9 file needing more repair than the
         # cap is still a size fault, and no --out directory is left
         path = tmp_path / "m.json"
-        dataset.save_matrix(mat, path)
+        save_matrix(mat, path)
         code = cli.main([*argv, "--matrix", str(path), "--out", str(tmp_path / "new")])
         captured = capsys.readouterr()
         n = len(mat)
@@ -444,7 +467,7 @@ class TestCli:
 
     def test_matrix_path_recorded_as_given(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        dataset.save_matrix(np.eye(3) / 3, tmp_path / "rho.json")
+        save_matrix(np.eye(3) / 3, tmp_path / "rho.json")
         code, report = self.run(["certify", "--matrix", "./rho.json"], capsys)
         assert code == 0
         assert report["config"]["matrix"] == "./rho.json"
@@ -518,8 +541,8 @@ class TestCli:
         # a repair that clips nothing logs +0.0 (it read -0.0), and mu of a
         # basis state is +0.0
         chi_path, basis_path = tmp_path / "chi.json", tmp_path / "basis.json"
-        dataset.save_matrix(tomography.noisy_model_chi(), chi_path)
-        dataset.save_matrix(algebra.projector(algebra.ket(0)), basis_path)
+        save_matrix(tomography.noisy_model_chi(), chi_path)
+        save_matrix(algebra.projector(algebra.ket(0)), basis_path)
         runs = [
             ["tomography"],
             ["certify"],
@@ -677,7 +700,7 @@ class TestCsv:
 
     def test_batch_matrix_file(self, tmp_path):
         path = tmp_path / "chi.json"
-        dataset.save_matrix(tomography.noisy_model_chi(0.7), path)
+        save_matrix(tomography.noisy_model_chi(0.7), path)
         argv = ["certify", "--batch", "--grid", "6x5"]
         bundled, _ = run_with_out(argv, tmp_path, "certify_batch")
         report, rows = run_with_out([*argv, "--matrix", str(path)], tmp_path, "certify_batch")
@@ -692,8 +715,8 @@ def test_readme_cli_lines_parse(tmp_path, monkeypatch):
     assert {line[1] for line in lines} == {name for name, _, _ in cli._COMMANDS}
     # --matrix files are read while parsing, so the example files must exist
     monkeypatch.chdir(tmp_path)
-    dataset.save_matrix(np.eye(3) / 3, "state.json")
-    dataset.save_matrix(tomography.noisy_model_chi(), "chi.json")
+    save_matrix(np.eye(3) / 3, "state.json")
+    save_matrix(tomography.noisy_model_chi(), "chi.json")
     for prog, *argv in lines:
         assert prog == "qutrit-teleport"
         cli.build_parser().parse_args(argv)

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from qutrit_teleport import algebra, certify, dataset, mc, optics, protocol, tomography
 from qutrit_teleport.errors import DimensionError, IllPosedError, InsufficientDataError, SolverError
 
-from helpers import random_density_matrix
+from helpers import count_calls, random_density_matrix
 
 
 def random_physical_chi(rng):
@@ -607,7 +607,7 @@ class TestTwoDesignConsistency:
 
 def warm_start_arrays(warm):
     """Copies of every array a ProjectionWarmStart holds."""
-    return [np.copy(a) for a in (warm.x, warm.dual, *warm.basis, warm.chord)]
+    return [np.copy(a) for a in (warm.x, warm.dual, *warm.basis, *warm.chord)]
 
 
 class TestProjections:
@@ -690,6 +690,39 @@ class TestProjections:
         assert np.array_equal(tomography.project_physical(chi, warm), proj)
         after = warm_start_arrays(warm)
         assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+
+    def test_chord_prediction_is_first_order(self, monkeypatch):
+        # from a warm start converged at X0, where no eigenvalue of X0 +
+        # sum_i lambda0_i G_i is near 0, the chord's multiplier at X0 + eps H
+        # misses the cold solve's by O(eps^2): a hundredfold less per decade
+        rng = np.random.default_rng(29)
+        x0 = random_hermitian_chi(rng)
+        h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        h = (h + h.conj().T) / 2
+
+        def converged():
+            warm = tomography.ProjectionWarmStart()
+            tomography.project_physical(x0, warm)
+            return warm
+
+        shift = (converged().dual @ tomography._TP_ROWS).view(complex).reshape(9, 9)
+        assert np.abs(np.linalg.eigvalsh(x0 + shift)).min() > 0.05
+
+        def error(eps):
+            x = x0 + eps * h
+            cold = tomography.ProjectionWarmStart()
+            tomography.project_physical(x, cold)
+            warm = converged()
+            # the first eigendecomposition is of X + sum_i lambda_i G_i at the
+            # predicted lambda
+            calls = count_calls(monkeypatch, np.linalg, "eigh")
+            tomography.project_physical(x, warm)
+            monkeypatch.undo()
+            shift = (calls[0][0] - x).view(float).ravel()
+            predicted = np.linalg.lstsq(tomography._TP_ROWS.T, shift, rcond=None)[0]
+            return np.abs(predicted - cold.dual).max()
+
+        assert error(1e-3) > 50 * error(1e-4)
 
     @pytest.mark.parametrize("where", [(2, 2), (2, 3)], ids=["diagonal", "off-diagonal"])
     def test_nan_input_raises_linalg_error(self, where):
@@ -1119,7 +1152,7 @@ class TestProjectionOracle:
         # the warm start predicts each multiplier to first order, so most
         # projections need one or two eigendecompositions: 453 for the 264
         # steps of the published fit, against 613 from the last multiplier
-        # alone
+        # alone. Each Newton step inverts its 9x9 Jacobian and solves nothing.
         pairs = published_pairs()
         calls = []
         original = np.linalg.eigh
@@ -1129,10 +1162,12 @@ class TestProjectionOracle:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        solves = count_calls(monkeypatch, np.linalg, "solve")
         fit = tomography.reconstruct_process(pairs)
         assert fit.n_iterations == 264
         assert set(calls) == {(9, 9)}
         assert len(calls) <= 500
+        assert solves == []
 
 
 class TestDesignCache:
