@@ -450,29 +450,21 @@ def visibility_damping_factor(model, coherence):
     the photon-1/photon-2 overlap squared; (0,2) involves the two
     signal-auxiliary swaps; (1,2) mixes all four sources.
     """
-    j, k = sorted(coherence)
-    s = {
-        pair: math.sqrt(model.visibility(*pair))
-        for pair in [
-            ("p1", "p2"),
-            ("p1", "aux_c"),
-            ("p1", "aux_d"),
-            ("p2", "aux_c"),
-            ("p2", "aux_d"),
-        ]
-    }
-    if (j, k) == (0, 1):
-        return s[("p1", "p2")] ** 2
-    if (j, k) == (0, 2):
-        return s[("p1", "aux_c")] ** 2 * s[("p2", "aux_d")] ** 2
-    if (j, k) == (1, 2):
-        return (
-            s[("p2", "aux_c")]
-            * s[("p1", "aux_c")]
-            * s[("p1", "aux_d")]
-            * s[("p2", "aux_d")]
-        )
-    raise ValueError(f"unknown coherence pair {coherence}")
+    # each coherence's overlaps sqrt(V) of source pairs, with their powers,
+    # multiplied in this order
+    factors = {
+        (0, 1): [(("p1", "p2"), 2)],
+        (0, 2): [(("p1", "aux_c"), 2), (("p2", "aux_d"), 2)],
+        (1, 2): [
+            (("p2", "aux_c"), 1), (("p1", "aux_c"), 1), (("p1", "aux_d"), 1), (("p2", "aux_d"), 1)
+        ],
+    }.get(tuple(sorted(coherence)))
+    if factors is None:
+        raise ValueError(f"unknown coherence pair {coherence}")
+    damping = 1.0
+    for pair, power in factors:
+        damping *= math.sqrt(model.visibility(*pair)) ** power
+    return damping
 
 
 __all__ = [

@@ -519,7 +519,7 @@ class ProjectionWarmStart:
     eigenvectors U with the adjoint U_P^dagger of their positive columns,
     and the pair (J^-1, W) of the chord step, with J the regularized
     Jacobian and W the Omega-weighted images of the G_i in that basis. A
-    new one starts the solve at lambda = 0, as no warm start does.
+    new one starts the solve at lambda = 0.
     """
 
     __slots__ = ("x", "dual", "basis", "chord")
@@ -549,23 +549,23 @@ def project_physical(chi, warm=None):
     on the dual objective globalizes it. Y is PSD by construction and TP
     to ``PROJECTION_TOL``.
 
-    ``warm`` is an optional ``ProjectionWarmStart``. The solve then
-    predicts its multiplier to first order, before any eigendecomposition:
-    one chord step lambda0 - J^-1 <G_i, DP[X - X0]> from the last
-    multiplier, with the derivative DP of the PSD projection and J taken
-    from the stored linearization: <G_i, DP[H]> is W applied to
-    U_P^dagger H U. Each Newton step inverts its 9x9 J once, for its own
-    step and for that chord. Once converged, it stores X, its multiplier
-    and its last linearization back, so that a caller
-    projecting a sequence of nearby points (the chi fit's FISTA steps)
-    warm-starts each from the last: about 1.7 eigendecompositions per
-    projection inside a fit. Without it the solve starts at lambda = 0.
+    ``warm`` is an optional ``ProjectionWarmStart``, a new one if omitted:
+    its zero multiplier and empty chord are the cold start. From a stored
+    linearization, the solve predicts its multiplier to first order before
+    any eigendecomposition: one chord step lambda0 - J^-1 <G_i, DP[X - X0]>,
+    with the derivative DP of the PSD projection and J taken from that
+    linearization: <G_i, DP[H]> is W applied to U_P^dagger H U. Each Newton
+    step inverts its 9x9 J once, for its own step and for that chord. Once
+    converged, it stores X, its multiplier and its last linearization back,
+    so that the chi fit's FISTA steps warm-start each projection from the
+    last: about 1.7 eigendecompositions per projection.
     """
     x = np.asarray(chi, dtype=complex)
     x = (x + x.conj().T) / 2  # once: eigh reads only one triangle
-    lam = trial = np.zeros(_N) if warm is None else warm.dual
+    warm = warm or ProjectionWarmStart()
+    lam = trial = warm.dual
     linearization = None  # this solve's last (basis, chord)
-    if warm is not None and warm.chord is not None:
+    if warm.chord is not None:
         back, u = warm.basis
         inverse, weighted = warm.chord
         lam = trial = lam - inverse @ (weighted @ (back @ (x - warm.x) @ u).view(float).ravel())
@@ -586,10 +586,9 @@ def project_physical(chi, warm=None):
         y = (u * pos) @ u.conj().T
         f = _TP_ROWS @ y.view(float).ravel() - _TP_TARGET
         if np.abs(f).max() < PROJECTION_TOL:
-            if warm is not None:
-                warm.x, warm.dual = x, lam
-                if linearization is not None:
-                    warm.basis, warm.chord = linearization
+            warm.x, warm.dual = x, lam
+            if linearization is not None:
+                warm.basis, warm.chord = linearization
             return y
         if accepted is None:
             accepted = 0.5 * (pos @ pos) - _TP_TARGET @ lam

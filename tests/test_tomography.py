@@ -648,16 +648,11 @@ class TestProjections:
         assert np.abs(proj - ref_project_physical(chi)).max() < 1e-12
         tomography.check_process_matrix(proj)
 
-    def test_large_input_is_projected(self):
-        # entries near 100, far outside the feasible set; the nearest point
-        # Y satisfies <X - Y, Z - Y> <= 0 for every feasible Z
-        rng = np.random.default_rng(25)
-        chi = random_hermitian_chi(rng, scale=100.0)
-        proj = tomography.project_physical(chi)
-        tomography.check_process_matrix(proj)
-        for _ in range(10):
-            other = random_physical_chi(rng)
-            assert np.vdot(chi - proj, other - proj).real < 1e-9
+    def test_large_input_is_projected(self, monkeypatch):
+        # entries near 100, far outside the feasible set: still the nearest point
+        certified = certify_projections(monkeypatch)
+        tomography.project_physical(random_hermitian_chi(np.random.default_rng(25), scale=100.0))
+        assert certified == [True]
 
     def test_warm_start_gives_the_cold_point(self):
         # one warm start carried along a sequence of points, as the chi fit
@@ -849,27 +844,16 @@ class TestProcessReconstruction:
         # the projection's point is PSD by construction, so a fitted chi
         # passes the default psd_tol=1e-9 (the Dykstra fit's least eigenvalue
         # was below -1e-9 on four of these ten draws, down to -1.27e-9)
-        inputs = dataset.reference_targets()[:9]
-        tables = list(mc_errors_counts(seed=0, trials=10))
-        for trial in range(10):
-            draw = tables[9 * trial : 9 * trial + 9]
-            states = [tomography.reconstruct_state(t, "mle") for t in draw]
-            fit = tomography.reconstruct_process(list(zip(inputs, states)))
-            tomography.check_process_matrix(fit.chi)
+        for draw in noisy_draw_pairs(seed=0, trials=10):
+            tomography.check_process_matrix(tomography.reconstruct_process(draw).chi)
 
     def test_iterations_on_mc_errors_draws(self):
-        # the FISTA step counts of three draws, as the fit on the 81 isometric
-        # Hermitian parameters counted them: a drift in the stopping rule
-        # shows here first
-        inputs = dataset.reference_targets()[:9]
-        tables = list(mc_errors_counts(seed=0, trials=3))
-        n_iterations = []
-        for trial in range(3):
-            draw = tables[9 * trial : 9 * trial + 9]
-            states = [tomography.reconstruct_state(t, "mle") for t in draw]
-            fit = tomography.reconstruct_process(list(zip(inputs, states)))
-            n_iterations.append(fit.n_iterations)
-        assert n_iterations == [226, 179, 215]
+        # the FISTA step counts of three seed-0 draws, as the fit on the 81
+        # isometric Hermitian parameters counted them, and of the six certified
+        # draws of TestProjectionOracle: a drift in the stopping rule shows here
+        draws = noisy_draw_pairs(seed=0, trials=10)[:3] + noisy_draw_pairs()
+        n_iterations = [tomography.reconstruct_process(draw).n_iterations for draw in draws]
+        assert n_iterations == [226, 179, 215, 232, 244, 197, 225, 238, 210]
 
     def test_rejects_wrong_length_ket(self):
         pairs = self.make_pairs(tomography.chi_ideal())
@@ -895,50 +879,9 @@ class TestProcessReconstruction:
             tomography.reconstruct_process(pairs)
 
 
-# Reference oracle for the isometric Hermitian parameters of the chi fit
-# (81 reals, off-diagonal parts carrying sqrt(2)): the element-by-element
-# loops are the definition; the parameter-space TP projection below uses
-# them probed into matrices.
-SQRT2 = math.sqrt(2.0)
-
-
-def loop_chi_from_params(x):
-    chi = np.zeros((9, 9), dtype=complex)
-    idx = 0
-    for i in range(9):
-        chi[i, i] = x[idx]
-        idx += 1
-    for i in range(9):
-        for j in range(i + 1, 9):
-            val = (x[idx] + 1j * x[idx + 1]) / SQRT2
-            chi[i, j] = val
-            chi[j, i] = val.conjugate()
-            idx += 2
-    return chi
-
-
-def loop_params_from_chi(chi):
-    x = np.zeros(81)
-    idx = 0
-    for i in range(9):
-        x[idx] = chi[i, i].real
-        idx += 1
-    for i in range(9):
-        for j in range(i + 1, 9):
-            x[idx] = SQRT2 * chi[i, j].real
-            x[idx + 1] = SQRT2 * chi[i, j].imag
-            idx += 2
-    return x
-
-
 def unit_chis():
     """The 162 chi's whose float views are the unit vectors, in order."""
-    chis = []
-    for col in range(162):
-        v = np.zeros(162)
-        v[col] = 1.0
-        chis.append(v.view(complex).reshape(9, 9))
-    return chis
+    return list(np.eye(162).view(complex).reshape(162, 9, 9))
 
 
 def probed_design_operator(inputs):
@@ -959,7 +902,7 @@ def probed_tp_rows(chis):
 
 TP_TARGET = np.r_[np.eye(3).ravel(), np.zeros(9)]
 # An orthonormal Hermitian basis of the 3x3 matrices: I / sqrt 3, lambda_a / sqrt 2
-TP_BASIS = np.array([np.eye(3) / math.sqrt(3)] + [lam / SQRT2 for lam in algebra.GELL_MANN[1:]])
+TP_BASIS = np.array([np.eye(3) / math.sqrt(3), *(algebra.GELL_MANN[1:] / math.sqrt(2))])
 
 
 class TestParameterMaps:
@@ -1012,44 +955,23 @@ class TestParameterMaps:
 
 
 @functools.cache
-def ref_param_maps():
-    """``loop_params_from_chi`` (81 x 162) and ``loop_chi_from_params``
-    (162 x 81) as real matrices on chi.view(float), probed once."""
-    to_params = np.array([loop_params_from_chi(chi) for chi in unit_chis()]).T
-    from_params = np.array([loop_chi_from_params(e).view(float).ravel() for e in np.eye(81)]).T
-    return to_params, from_params
-
-
-class TestProbedParameterMaps:
-    def test_probed_maps_reproduce_loops(self):
-        to_params, from_params = ref_param_maps()
-        rng = np.random.default_rng(27)
-        for _ in range(20):
-            chi = random_hermitian_chi(rng)
-            x = to_params @ chi.view(float).ravel()
-            assert np.abs(x - loop_params_from_chi(chi)).max() < 1e-15
-            params = rng.normal(size=81)
-            chi_back = (from_params @ params).view(complex).reshape(9, 9)
-            assert np.abs(chi_back - loop_chi_from_params(params)).max() < 1e-15
-
-
-@functools.cache
-def ref_tp_constraint():
-    """TP rows M on the 81 parameters and their pseudo-inverse."""
-    M = probed_tp_rows([loop_chi_from_params(e) for e in np.eye(81)])
+def probed_tp_pinv():
+    """The TP rows M (18 x 162) on chi.view(float), probed, and their pseudo-inverse."""
+    M = probed_tp_rows(unit_chis())
     return M, np.linalg.pinv(M)
 
 
 # Reference oracle for the chi projection: Dykstra's alternating projection
-# (both corrections, a symmetrization every step) over the parameter-space
-# TP step and the u diag(w) u^dagger PSD step, run to 1e-13. It stops when
+# (both corrections, a symmetrization every step) over the TP step
+# v - M^+ (M v - t) on chi.view(float) and the u diag(w) u^dagger PSD step,
+# run to 1e-13. chi -> chi^dagger keeps the TP set and the Frobenius norm, so
+# the TP step maps a Hermitian chi to a Hermitian one. The loop stops when
 # the iterate has settled and its PSD and TP points agree: on -I the iterate
 # stands still for four steps while a correction grows.
 def ref_project_tp(chi):
-    M, Mp = ref_tp_constraint()
-    to_params, from_params = ref_param_maps()
-    x = to_params @ np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
-    return (from_params @ (x - Mp @ (M @ x - TP_TARGET))).view(complex).reshape(9, 9)
+    M, Mp = probed_tp_pinv()
+    v = np.ascontiguousarray(chi, dtype=complex).view(float).ravel()
+    return (v - Mp @ (M @ v - TP_TARGET)).view(complex).reshape(9, 9)
 
 
 def ref_project_psd(chi):
@@ -1058,8 +980,7 @@ def ref_project_psd(chi):
     return u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
 
 
-def ref_project_physical(chi, warm=None, tol=1e-13, max_iter=20000):
-    """Ignores ``warm``, the warm start of ``project_physical``."""
+def ref_project_physical(chi, tol=1e-13, max_iter=20000):
     x = np.asarray(chi, dtype=complex)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -1079,8 +1000,9 @@ def published_pairs():
     return [(phi, dataset.reference_rho(i)[0]) for i, phi in enumerate(targets, 1)]
 
 
+@functools.cache
 def noisy_draw_pairs(seed=5, trials=6):
-    """The (input, MLE state) pairs of each of six mc_errors-style draws at rate 150."""
+    """The (input, MLE state) pairs of each mc_errors-style draw at rate 150."""
     inputs = dataset.reference_targets()[:9]
     tables = list(mc_errors_counts(seed=seed, trials=trials))
     return [
@@ -1094,6 +1016,47 @@ def random_hermitian_chi(rng, scale=0.1):
         rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     )
     return (chi + chi.conj().T) / 2
+
+
+def certify_projections(monkeypatch):
+    """Wrap ``tomography.project_physical``; each call appends whether its
+    result Y meets the optimality conditions of the PSD and TP point nearest
+    to the Hermitian part X of its input (Malick 2004), with lambda the
+    multiplier it leaves in the warm start: |tp_matrix(Y) - I| <= 1e-11,
+    |Y - P_psd(X + sum_i lambda_i G_i)| <= 1e-13 and lambda_min(Y) >= -1e-14."""
+    certified = []
+    original = tomography.project_physical
+
+    def certifying(chi, warm=None):
+        warm = warm or tomography.ProjectionWarmStart()
+        proj = original(chi, warm)
+        shifted = chi + np.einsum("i,ilk->lk", warm.dual, tomography._TP_ADJOINT)
+        certified.append(
+            np.abs(tomography.tp_matrix(proj) - np.eye(3)).max() <= 1e-11
+            and np.abs(proj - ref_project_psd(shifted)).max() <= 1e-13
+            and np.linalg.eigvalsh(proj).min() >= -1e-14
+        )
+        return proj
+
+    monkeypatch.setattr(tomography, "project_physical", certifying)
+    return certified
+
+
+def fit_distance_bound(pairs, chi):
+    """A bound on ||chi - chi*||_F, chi* the exact constrained fit of ``pairs``.
+
+    The misfit is strongly convex on chi.view(float), with Gram matrix G. So
+    the projected gradient step x -> P(x - s(G x - A^T b)), s = 1 / lambda_max,
+    contracts by 1 - lambda_min / lambda_max, and its residual r at x bounds
+    ||x - x*|| by r lambda_max / lambda_min (Beck and Teboulle 2009).
+    """
+    A, _, gram, step = tomography._fit_design([phi for phi, _ in pairs])
+    b = tomography._output_vector(np.array([out for _, out in pairs]))
+    x = np.ascontiguousarray(chi).view(float).ravel()
+    y = (x - step * (gram @ x - A.T @ b)).view(complex).reshape(9, 9)
+    moved = tomography.project_physical(y).view(float).ravel()
+    w = np.linalg.eigvalsh(gram)
+    return np.linalg.norm(x - moved) * w[-1] / w[0]
 
 
 class TestProjectionOracle:
@@ -1117,34 +1080,47 @@ class TestProjectionOracle:
             assert np.abs(proj - hermitian_part).max() < 1e-12
             assert np.abs(proj - proj.conj().T).max() < 1e-13
 
-    def test_published_fit_matches_reference(self, monkeypatch):
+    def test_published_fit_is_certified(self, monkeypatch):
+        # every projection is the exact nearest point, and the fit is within
+        # 5e-8 of the exact optimum, which a fit run to 1e-13 confirms
+        certified = certify_projections(monkeypatch)
         fit = tomography.reconstruct_process(published_pairs())
-        monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
-        ref = tomography.reconstruct_process(published_pairs())
-        assert fit.n_iterations == ref.n_iterations == 264
-        assert np.abs(fit.chi - ref.chi).max() < 1e-12
+        assert fit.n_iterations == 264
+        assert len(certified) == 265 and all(certified)
+        monkeypatch.undo()
+        bound = fit_distance_bound(published_pairs(), fit.chi)
+        assert bound <= 5e-8
+        monkeypatch.setattr(tomography, "FIT_TOL", 1e-13)
+        tight = tomography.reconstruct_process(published_pairs())
+        assert np.linalg.norm(tight.chi - fit.chi) <= bound
 
-    def test_noisy_fits_match_reference(self, monkeypatch):
-        # six mc_errors-style draws at rate 150: the same FISTA steps and the
-        # same chi as with the reference Dykstra loop at every step
-        pairs = noisy_draw_pairs()
-        fits = [tomography.reconstruct_process(draw) for draw in pairs]
-        monkeypatch.setattr(tomography, "project_physical", ref_project_physical)
-        for draw, fit in zip(pairs, fits):
-            ref = tomography.reconstruct_process(draw)
-            assert fit.n_iterations == ref.n_iterations
-            assert np.abs(fit.chi - ref.chi).max() < 1e-12
+    def test_noisy_fits_are_certified(self, monkeypatch):
+        # six mc_errors-style draws at rate 150
+        certified = certify_projections(monkeypatch)
+        for draw in noisy_draw_pairs():
+            assert fit_distance_bound(draw, tomography.reconstruct_process(draw).chi) <= 2.5e-7
+        assert all(certified)
+
+    def test_certificates_flag_loose_solves(self, monkeypatch):
+        # projections to a TP residual of 1e-6, a fit stopped at FIT_TOL = 1e-4
+        # (39 steps), and the fit's projected unconstrained start
+        certified = certify_projections(monkeypatch)
+        monkeypatch.setattr(tomography, "PROJECTION_TOL", 1e-6)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            tomography.project_physical(random_hermitian_chi(rng))
+        assert certified.count(False) >= 10
+        monkeypatch.undo()
+        pairs = published_pairs()
+        monkeypatch.setattr(tomography, "FIT_TOL", 1e-4)
+        assert fit_distance_bound(pairs, tomography.reconstruct_process(pairs).chi) > 5e-8
+        inputs, outputs = zip(*pairs)
+        start = tomography.linear_process_fit(inputs, tomography.born_probabilities(outputs))
+        assert fit_distance_bound(pairs, tomography.project_physical(start)) > 5e-8
 
     def test_fit_projects_through_module_attribute(self, monkeypatch):
         # perfbench --trace 1 times the projection layer by wrapping this attribute
-        calls = []
-        original = tomography.project_physical
-
-        def counting(chi, *args, **kwargs):
-            calls.append(chi)
-            return original(chi, *args, **kwargs)
-
-        monkeypatch.setattr(tomography, "project_physical", counting)
+        calls = count_calls(monkeypatch, tomography, "project_physical")
         fit = tomography.reconstruct_process(published_pairs())
         assert len(calls) == fit.n_iterations + 1
 
@@ -1154,18 +1130,11 @@ class TestProjectionOracle:
         # steps of the published fit, against 613 from the last multiplier
         # alone. Each Newton step inverts its 9x9 Jacobian and solves nothing.
         pairs = published_pairs()
-        calls = []
-        original = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
         solves = count_calls(monkeypatch, np.linalg, "solve")
         fit = tomography.reconstruct_process(pairs)
         assert fit.n_iterations == 264
-        assert set(calls) == {(9, 9)}
+        assert {a.shape for a, *_ in calls} == {(9, 9)}
         assert len(calls) <= 500
         assert solves == []
 
