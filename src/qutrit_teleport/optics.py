@@ -291,8 +291,9 @@ def _initial_state(input_state, channel, tags):
     phi = algebra.check_pure_state(input_state)
 
     photon1 = hybrid_photon("p1", phi, tags["p1"])
-    # Entangled channel: photon 2 interferes, photon 3 never does.
-    chan = FockState()
+    # Entangled channel: photon 2 interferes, photon 3 never does. Each
+    # Schmidt level puts the pair in modes of its own, so no terms overlap.
+    chan = {}
     for k, s in enumerate(channel.schmidt_coefficients):
         if s == 0:
             continue
@@ -301,13 +302,16 @@ def _initial_state(input_state, channel, tags):
         pair = hybrid_photon("p2", basis, tags["p2"]).tensor(
             hybrid_photon("p3", basis)
         )
-        chan = _add(chan, pair.scaled(s))
-    return photon1.tensor(chan).tensor(single_photon([(Mode("t", 0, H), 1.0)]))
+        chan.update(pair.scaled(s).terms)
+    return photon1.tensor(FockState(chan)).tensor(single_photon([(Mode("t", 0, H), 1.0)]))
 
 
 def _aux_pair_state(tags):
-    """The auxiliary polarization-entangled pair (|HH> + |VV>)/sqrt2 on c, d."""
-    state = FockState()
+    """The auxiliary polarization-entangled pair (|HH> + |VV>)/sqrt2 on c, d.
+
+    The HH and VV terms put the photons in different modes, so none overlap.
+    """
+    terms = {}
     for pol in (H, V):
         c = single_photon(
             [(Mode("c", 0, pol, t), w) for t, w in enumerate(tags["aux_c"]) if abs(w) > AMP_CUTOFF]
@@ -315,15 +319,8 @@ def _aux_pair_state(tags):
         d = single_photon(
             [(Mode("d", 0, pol, t), w) for t, w in enumerate(tags["aux_d"]) if abs(w) > AMP_CUTOFF]
         )
-        state = _add(state, c.tensor(d).scaled(1 / math.sqrt(2)))
-    return state
-
-
-def _add(a, b):
-    out = dict(a.terms)
-    for p, amp in b.terms.items():
-        out[p] = out.get(p, 0.0) + amp
-    return FockState(out)
+        terms.update(c.tensor(d).scaled(1 / math.sqrt(2)).terms)
+    return FockState(terms)
 
 
 # --- circuit ----------------------------------------------------------------
