@@ -36,6 +36,10 @@ MAX_EXPOSURE = 1e18
 # A certified grid state holds about 1.5 KB until the report is written, so
 # the largest grid, 1000x1000, peaks near 1.5 GB.
 MAX_GRID_STATES = 1_000_000
+# mub_study holds every trial's draws until it scores them, about 9 KB per
+# trial (64 MB peak at 2,000 trials, 228 MB at 20,000), so the cap peaks
+# near 0.9 GB.
+MAX_TRIALS = 100_000
 
 
 def _round_floats(obj):
@@ -352,12 +356,14 @@ def cmd_full_reproduction(args):
 # Each subcommand takes only the options it reads, plus --out. Every value
 # is checked while parsing, before --out is created: numpy's generators take
 # only non-negative seeds, an ensemble std needs two trials, Poisson means
-# need the exposure (or rate) positive and bounded, a grid is held in memory
-# whole, the report records the grid's text and the matrix path as given,
-# and a matrix file is read then (its size, which depends on --batch, right
-# after parsing).
+# need the exposure (or rate) positive and bounded, a grid and a study's
+# trials are held in memory whole, the report records the grid's text and
+# the matrix path as given, and a matrix file is read then (its size, which
+# depends on --batch, right after parsing).
 _seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
-_trials = _checked(int, lambda n: n >= 2, "must be an integer of at least 2")
+_trials = _checked(
+    int, lambda n: 2 <= n <= MAX_TRIALS, f"must be an integer from 2 to {MAX_TRIALS}"
+)
 _visibility = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _exposure = _checked(float, lambda x: 0 < x <= MAX_EXPOSURE, f"must lie in (0, {MAX_EXPOSURE:g}]")
 _grid = _checked(

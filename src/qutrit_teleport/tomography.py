@@ -34,9 +34,8 @@ PSD_TOL = 1e-9
 # nine orthonormal coordinates, is below PROJECTION_TOL, and raises
 # SolverError after PROJECTION_MAX_ITER eigendecompositions (about 1.7 per
 # projection inside a fit, whose warm start predicts the multiplier). The
-# fit stops, from its second step on, when the largest entrywise step and
-# the relative objective change are below FIT_TOL, and raises SolverError
-# after FIT_MAX_ITER steps.
+# fit stops at its first step whose largest entrywise size is below
+# FIT_TOL, and raises SolverError after FIT_MAX_ITER steps.
 PROJECTION_TOL = 1e-12
 PROJECTION_MAX_ITER = 100
 FIT_TOL = 1e-9
@@ -637,11 +636,11 @@ def reconstruct_process(pairs):
     One ``ProjectionWarmStart`` is passed to every projection, so each
     predicts its TP multiplier from the last one's linearization: about
     1.7 eigendecompositions per step, 453 for the 264 steps of the
-    published fit, and one 9x9 inverse per Newton step. From its second
-    step on, the fit stops at the first step whose largest entrywise size,
-    weighted as the isometric Hermitian coordinates weigh it, and whose
-    relative misfit change are both below ``FIT_TOL``; the misfit is
-    evaluated only at steps that small. Returns a ProcessFit
+    published fit, and one 9x9 inverse per Newton step. The fit stops at
+    the first step whose largest entrywise size, weighted as the isometric
+    Hermitian coordinates weigh it, is below ``FIT_TOL``. The first step
+    starts where the momentum is zero, so it is the fixed-point residual of
+    the projected gradient map at the start. Returns a ProcessFit
     with the Hermitian part of the final iterate and its residual. FISTA
     starts from the projected unconstrained least-squares chi, the fit
     that ``linear_process_fit`` makes after its linear inversion.
@@ -666,29 +665,23 @@ def reconstruct_process(pairs):
     def proj(v):
         return project_physical(v.view(complex).reshape(_N, _N), warm).view(float).ravel()
 
-    def misfit(v):
-        return float(np.sum((A @ v - b) ** 2))
-
-    # FISTA from the projected unconstrained fit. The first step never
-    # stops it, so a start that is already the optimum still takes two.
+    # FISTA from the projected unconstrained fit
     x = project_physical(_least_squares(pinv, b), warm).view(float).ravel()
     z, t_mom = x.copy(), 1.0
     for n_iterations in range(1, FIT_MAX_ITER + 1):
         x_new = proj(z - step * (gram @ z - atb))
-        t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
         moved = x_new - x
-        z = x_new + ((t_mom - 1) / t_new) * moved
-        if n_iterations > 1 and np.abs(_STEP_WEIGHT * moved).max() < FIT_TOL:
-            obj = misfit(x_new)
-            if abs(misfit(x) - obj) < FIT_TOL * max(1.0, obj):
-                x = x_new
-                break
-        x, t_mom = x_new, t_new
+        x = x_new
+        if np.abs(_STEP_WEIGHT * moved).max() < FIT_TOL:
+            break
+        t_new = (1 + math.sqrt(1 + 4 * t_mom * t_mom)) / 2
+        z = x + ((t_mom - 1) / t_new) * moved
+        t_mom = t_new
     else:
         raise SolverError("projected gradient did not converge")
     chi = x.view(complex).reshape(_N, _N)
     chi = (chi + chi.conj().T) / 2
-    residual = misfit(chi.view(float).ravel())
+    residual = float(np.sum((A @ chi.view(float).ravel() - b) ** 2))
     return ProcessFit(chi=chi, residual=residual, n_iterations=n_iterations)
 
 

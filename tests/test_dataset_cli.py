@@ -278,6 +278,29 @@ class TestCli:
         args = cli.build_parser().parse_args(["certify", "--batch", "--grid", "1000x1000"])
         assert math.prod(cli._grid_shape(args.grid)) == cli.MAX_GRID_STATES
 
+    @pytest.mark.parametrize("command", ["mc_errors", "mub_study", "convergence"])
+    @pytest.mark.parametrize("trials", ["100001", "1000000000", str(10**30)])
+    def test_oversized_trials_exit_parse(self, command, trials, capsys, monkeypatch, tmp_path):
+        # refused while parsing; trials that got past the parser fail here
+        # instead of being drawn
+        def refuse(*args):
+            raise AssertionError("the trials were drawn")
+
+        monkeypatch.setattr(mc, "trial_rngs", refuse)
+        out = tmp_path / "out"
+        code = cli.main([command, "--trials", trials, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: argument --trials: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_most_trials_parse(self):
+        # parsed only: the study would peak near 0.9 GB
+        args = cli.build_parser().parse_args(["mub_study", "--trials", str(cli.MAX_TRIALS)])
+        assert args.trials == cli.MAX_TRIALS == 100_000
+
     @pytest.mark.parametrize(
         "argv",
         [

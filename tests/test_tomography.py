@@ -909,19 +909,38 @@ class TestProcessReconstruction:
 
     def test_fits_stop_at_their_first_small_step(self):
         # the published fit and six draws end on the first step whose
-        # weighted size is below FIT_TOL: there the misfit test never binds
+        # weighted size is below FIT_TOL, and on no earlier one
         for pairs in [published_pairs(), *noisy_draw_pairs()]:
             fit, steps = fista_steps(pairs)
             assert len(steps) == fit.n_iterations
             assert steps[-1] < tomography.FIT_TOL
             assert (steps[:-1] >= tomography.FIT_TOL).all()
 
-    def test_first_step_never_stops_a_fit(self):
-        # exact outputs of a full-rank channel: the projected start is the
-        # optimum, and the fit still takes a second step
-        fit, steps = fista_steps(self.make_pairs(tomography.noisy_model_chi()))
-        assert fit.n_iterations == 2
-        assert (steps < tomography.FIT_TOL).all()
+    def test_first_small_step_stops_a_fit(self):
+        # exact outputs of a full-rank channel, and trials 40 and 49 of
+        # convergence --exposure 2000 at seed 0: the projected start is the
+        # optimum, so the first step, the fixed-point residual at the start,
+        # is below FIT_TOL and ends the fit within the certified distance
+        kets = tomography.CANONICAL_KETS
+        truth = tomography.apply_process(
+            tomography.noisy_model_chi(), algebra.projector(kets), repair=True
+        )
+        means = mc._poisson_means(truth, 2000)
+        rngs = mc.trial_rngs(0, 50)
+        draws = []
+        for t in (40, 49):
+            tables = map(tomography.CountsTable, rngs[t].poisson(means))
+            draws.append(list(zip(kets, map(tomography.reconstruct_state, tables))))
+        for pairs in [self.make_pairs(tomography.noisy_model_chi()), *draws]:
+            fit, steps = fista_steps(pairs)
+            assert fit.n_iterations == 1
+            assert steps[0] < tomography.FIT_TOL
+            bound = fit_distance_bound(pairs, fit.chi)
+            assert bound <= 1e-12
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tomography, "FIT_TOL", 1e-13)
+                tight = tomography.reconstruct_process(pairs)
+            assert np.linalg.norm(tight.chi - fit.chi) <= bound
 
     def test_rejects_wrong_length_ket(self):
         pairs = self.make_pairs(tomography.chi_ideal())
