@@ -36,9 +36,9 @@ MAX_EXPOSURE = 1e18
 # A certified grid state holds about 1.5 KB until the report is written, so
 # the largest grid, 1000x1000, peaks near 1.5 GB.
 MAX_GRID_STATES = 1_000_000
-# mub_study holds every trial's draws until it scores them, about 9 KB per
-# trial (64 MB peak at 2,000 trials, 228 MB at 20,000), so the cap peaks
-# near 0.9 GB.
+# mub_study holds one block of draws and a generator per trial, about 1 KB
+# per trial (82 MB peak at 20,000 trials, 158 MB at 100,000), so the cap
+# peaks near 160 MB (935 MB when it held every trial's draws).
 MAX_TRIALS = 100_000
 
 

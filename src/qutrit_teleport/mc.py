@@ -7,8 +7,10 @@ depend on execution order.
 ``poisson_resample`` excludes and counts the trials it cannot estimate;
 the design and convergence studies stop at the first one instead (the CLI
 exits 4). One shared loop would have to branch on its caller. The design
-study draws every trial's counts before it estimates anything, then
-raises at its first bad trial.
+study's linear chain draws, estimates and scores its trials in blocks of
+a fixed size, so its memory hardly grows with the trial count; its 'mle'
+chain draws every trial's counts before it fits any, then raises at its
+first bad trial.
 """
 
 from __future__ import annotations
@@ -67,16 +69,27 @@ def poisson_resample(counts_tables, statistic, n_trials, seed):
     return ResampleEnsemble(samples=np.array(samples), n_excluded=n_excluded)
 
 
+def _born_weights(rho):
+    """Clipped Born probabilities (..., 9) of rho's nine settings, and their sums (..., 1)."""
+    probs = np.clip(tomography.born_probabilities(rho), 0.0, None)
+    return probs, probs.sum(axis=-1, keepdims=True)
+
+
+def _rate_means(weights, rate):
+    """Poisson means (..., 9) at ``rate`` expected counts per state, from its ``_born_weights``."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    probs, sums = weights
+    return float(rate) / sums * probs
+
+
 def _poisson_means(rho, rate):
     """Poisson means (..., 9) of one tomography run per state, over rho's leading axes.
 
     ``rate`` is the expected total count over all nine settings of each
     state; the exposure is split accordingly.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    probs = np.clip(tomography.born_probabilities(rho), 0.0, None)
-    return float(rate) / probs.sum(axis=-1, keepdims=True) * probs
+    return _rate_means(_born_weights(rho), rate)
 
 
 def counts_for_state(rho, rate, rng):
@@ -150,18 +163,24 @@ def convergence_study(
 
 
 _DESIGNS = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
+# Trials per block of the linear design study: it holds one block's draws
+# and estimates at a time, and pays its per-call overhead once per block.
+_BLOCK = 1024
 
 
 @functools.cache
 def _design_truth():
-    """Read-only outputs of ``tomography.noisy_model_chi()`` on each design's inputs."""
-    chi_true = tomography.noisy_model_chi()
-    outs = tuple(
-        tomography.apply_process(chi_true, algebra.projector(k), repair=True) for k in _DESIGNS
+    """Read-only ``_born_weights`` of ``tomography.noisy_model_chi()``'s outputs.
+
+    The rows (21, 9) and (21, 1) hold the MUB inputs, then the canonical ones.
+    """
+    inputs = algebra.projector(np.concatenate(_DESIGNS))
+    weights = _born_weights(
+        tomography.apply_process(tomography.noisy_model_chi(), inputs, repair=True)
     )
-    for o in outs:
-        o.flags.writeable = False
-    return outs
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
@@ -174,33 +193,43 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     mean fidelity of the twelve MUB states through the fitted channel.
 
     The default 'linear' estimator chain (linear inversion, then the
-    unconstrained least-squares chi) runs as array work over all trials.
-    It is not unbiased: linear inversion divides each count by its
-    basis-triple sum, and E[1/S] > 1/E[S] (Jensen), so the trial means sit
-    above the true 0.700, by about 0.007 at rate 150 (about 0.031 at 37.5,
-    0.0006 at 2000). The 'mle' chain (maximum-likelihood states, then the
-    constrained chi fit, one trial at a time) is physical but noticeably
-    biased low at low counting rates.
+    unconstrained least-squares chi) runs as array work over blocks of
+    trials, both designs at once. It is not unbiased: linear inversion
+    divides each count by its basis-triple sum, and E[1/S] > 1/E[S]
+    (Jensen), so the trial means sit above the true 0.700, by about 0.007
+    at rate 150 (about 0.031 at 37.5, 0.0006 at 2000). The 'mle' chain
+    (maximum-likelihood states, then the constrained chi fit, one trial
+    at a time) is physical but noticeably biased low at low counting
+    rates.
     """
     _check_trials(trials)
     if estimator not in ("linear", "mle"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    means = [_poisson_means(o, rate) for o in _design_truth()]
-    # each trial draws its MUB counts, then its canonical ones
-    draws = [[rng.poisson(m) for m in means] for rng in trial_rngs(seed, trials)]
-    scores = []
-    for kets, counts in zip(_DESIGNS, zip(*draws)):
-        if estimator == "linear":
-            chis = tomography.linear_process_fit(kets, counts)
-        else:
-            chis = [fit_channel(kets, c) for c in counts]
-        scores.append(tomography.mub_fidelities(chis, repair=(estimator == "mle"))[1])
-    mub, nonmub = scores
+    means = _rate_means(_design_truth(), rate)
+    rngs = trial_rngs(seed, trials)
+    # each trial draws its MUB counts, then its canonical ones, in one call
+    if estimator == "linear":
+        scores = []
+        for start in range(0, trials, _BLOCK):
+            counts = np.array([rng.poisson(means) for rng in rngs[start : start + _BLOCK]])
+            chis = tomography.linear_process_fit(_DESIGNS, counts)
+            scores.append(tomography.mub_fidelities(chis)[1])
+        scores = np.concatenate(scores, axis=1)
+    else:
+        draws = np.array([rng.poisson(means) for rng in rngs])
+        scores = np.array(
+            [
+                tomography.mub_fidelities([fit_channel(kets, c) for c in counts], repair=True)[1]
+                for kets, counts in zip(_DESIGNS, np.split(draws, [len(_DESIGNS[0])], axis=1))
+            ]
+        )
+    # one row per design, each reduced as the 1-D array of its scores
+    mean, err = scores.mean(axis=1), scores.std(axis=1, ddof=1)
     return {
-        "mean_mub": float(mub.mean()),
-        "err_mub": float(mub.std(ddof=1)),
-        "mean_nonmub": float(nonmub.mean()),
-        "err_nonmub": float(nonmub.std(ddof=1)),
+        "mean_mub": float(mean[0]),
+        "err_mub": float(err[0]),
+        "mean_nonmub": float(mean[1]),
+        "err_nonmub": float(err[1]),
     }
 
 

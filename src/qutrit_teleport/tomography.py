@@ -457,13 +457,25 @@ def linear_process_fit(inputs, counts):
     basis-triple sum S, and E[1/S] > 1/E[S], so at 150 counts per state
     the MUB fidelity of ``noisy_model_chi`` reads about 0.007 high. A
     stack of count sets gives the same bits as its sets one by one.
+
+    ``inputs`` may also be a sequence of k input sets, with their counts
+    concatenated on the input axis. One linear inversion then serves them
+    all, and the k fits come back stacked, (k, ..., 9, 9), each with the
+    bits of its own call.
     """
-    kets = np.asarray(inputs, dtype=complex)
+    several = len(inputs) > 0 and np.ndim(inputs[0]) == 2
+    sets = [np.asarray(k, dtype=complex) for k in (inputs if several else [inputs])]
+    n = sum(len(k) for k in sets)
     counts = np.asarray(counts)
-    if kets.ndim != 2 or counts.shape[-2:] != (len(kets), 9):
-        raise DimensionError(f"expected counts (..., {len(kets)}, 9), got {counts.shape}")
-    _, pinv, _, _ = _fit_design(kets)
-    return _least_squares(pinv, _output_vector(_linear_inversion(counts)))
+    if any(k.ndim != 2 for k in sets) or counts.shape[-2:] != (n, 9):
+        raise DimensionError(f"expected counts (..., {n}, 9), got {counts.shape}")
+    outputs = _linear_inversion(counts)
+    chis, start = [], 0
+    for kets in sets:
+        b = _output_vector(outputs[..., start : start + len(kets), :, :])
+        chis.append(_least_squares(_fit_design(kets)[1], b))
+        start += len(kets)
+    return np.stack(chis) if several else chis[0]
 
 
 def _fit_design(inputs):

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,40 @@ class TestDesignStudyOracle:
         for c, rho in zip(counts.reshape(-1, 9), stacked.reshape(-1, 3, 3)):
             ref = ref_linear_inversion(tomography.CountsTable(c))
             assert rho.tobytes() == ref.tobytes()
+
+
+class TestLinearBlocks:
+    """The linear chain runs in blocks of ``mc._BLOCK`` trials, which leave no trace in its outcome."""
+
+    # at rate 14, seed 0 first lacks basis counts at trial 6 and seed 11 at
+    # trial 3: in blocks of 3, the third block and the second raise
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_small_blocks_match_oracle(self, seed, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 3)
+        for trials in range(2, 8):
+            for rate in (150, 14):
+                assert_study_matches_oracle(rate=rate, trials=trials, seed=seed, estimator="linear")
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges_match_one_block(self, offset, monkeypatch):
+        trials = mc._BLOCK + offset
+        blocked = mc.mub_design_study(trials=trials, seed=3)
+        monkeypatch.setattr(mc, "_BLOCK", trials + 1)
+        assert mc.mub_design_study(trials=trials, seed=3) == blocked
+
+    def test_peak_memory_is_bounded(self):
+        # one block's draws and estimates are held at a time; holding every
+        # trial's draws made the peak 3.9 times larger at 4 blocks than at one
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                mc.mub_design_study(trials=trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc.mub_design_study(trials=2)  # the caches are built before the measurement
+        assert peak(4 * mc._BLOCK) < 1.5 * peak(mc._BLOCK)
 
 
 def delta_method_std(kets, means, rel_step=1e-4):
