@@ -36,9 +36,8 @@ MAX_EXPOSURE = 1e18
 # A certified grid state holds about 1.5 KB until the report is written, so
 # the largest grid, 1000x1000, peaks near 1.5 GB.
 MAX_GRID_STATES = 1_000_000
-# mub_study holds one block of draws and a generator per trial, about 1 KB
-# per trial (82 MB peak at 20,000 trials, 158 MB at 100,000), so the cap
-# peaks near 160 MB (935 MB when it held every trial's draws).
+# mub_study holds one block of trials' generators and draws at a time, so the
+# cap peaks near 66 MB, against 64 MB at 20,000 trials (with one BLAS thread).
 MAX_TRIALS = 100_000
 
 

@@ -6,22 +6,24 @@ depend on execution order.
 
 ``poisson_resample`` excludes and counts the trials it cannot estimate;
 the design and convergence studies stop at the first one instead (the CLI
-exits 4). One shared loop would have to branch on its caller. The design
-study's linear chain draws, estimates and scores its trials in blocks of
-a fixed size, so its memory hardly grows with the trial count; its 'mle'
-chain draws every trial's counts before it fits any, then raises at its
-first bad trial.
+exits 4). One shared loop would have to branch on its caller. Streams are
+spawned, and the design study runs, one block of trials at a time, so
+memory hardly grows with the trial count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, certify, tomography
 from .errors import IllPosedError, InsufficientDataError, SolverError
+
+# Trials per block of spawned streams and of the design study's stacked work
+_BLOCK = 1024
 
 
 def _check_trials(n_trials):
@@ -31,8 +33,14 @@ def _check_trials(n_trials):
 
 
 def trial_rngs(seed, n_trials):
-    """Independent per-trial generators split from a master seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trials)]
+    """Independent per-trial generators split from a master seed, a block at a time.
+
+    ``SeedSequence.spawn`` carries its child keys on across calls, so the
+    streams are those of one ``spawn(n_trials)``.
+    """
+    master = np.random.SeedSequence(seed)
+    for start in range(0, n_trials, _BLOCK):
+        yield from map(np.random.default_rng, master.spawn(min(_BLOCK, n_trials - start)))
 
 
 @dataclass(frozen=True)
@@ -163,9 +171,6 @@ def convergence_study(
 
 
 _DESIGNS = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
-# Trials per block of the linear design study: it holds one block's draws
-# and estimates at a time, and pays its per-call overhead once per block.
-_BLOCK = 1024
 
 
 @functools.cache
@@ -192,37 +197,32 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     MUB inputs or the nine canonical tomography inputs, then scores the
     mean fidelity of the twelve MUB states through the fitted channel.
 
-    The default 'linear' estimator chain (linear inversion, then the
-    unconstrained least-squares chi) runs as array work over blocks of
-    trials, both designs at once. It is not unbiased: linear inversion
-    divides each count by its basis-triple sum, and E[1/S] > 1/E[S]
-    (Jensen), so the trial means sit above the true 0.700, by about 0.007
-    at rate 150 (about 0.031 at 37.5, 0.0006 at 2000). The 'mle' chain
-    (maximum-likelihood states, then the constrained chi fit, one trial
-    at a time) is physical but noticeably biased low at low counting
-    rates.
+    Both chains draw, fit and score one block of trials at a time; within a
+    block every MUB-design fit comes before any canonical one. The default
+    'linear' chain (linear inversion, then the unconstrained least-squares
+    chi) fits both designs in one stacked call. It is not unbiased: linear
+    inversion divides each count by its basis-triple sum, and E[1/S] >
+    1/E[S] (Jensen), so the trial means sit above the true 0.700, by about
+    0.007 at rate 150 (about 0.031 at 37.5, 0.0006 at 2000). The 'mle'
+    chain (maximum-likelihood states, then the constrained chi fit, one
+    trial at a time) is physical but noticeably biased low at low rates.
     """
     _check_trials(trials)
     if estimator not in ("linear", "mle"):
         raise ValueError(f"unknown estimator {estimator!r}")
     means = _rate_means(_design_truth(), rate)
     rngs = trial_rngs(seed, trials)
-    # each trial draws its MUB counts, then its canonical ones, in one call
-    if estimator == "linear":
-        scores = []
-        for start in range(0, trials, _BLOCK):
-            counts = np.array([rng.poisson(means) for rng in rngs[start : start + _BLOCK]])
+    scores = []
+    for _ in range(0, trials, _BLOCK):
+        # each trial draws its MUB counts, then its canonical ones, in one call
+        counts = np.array([rng.poisson(means) for rng in itertools.islice(rngs, _BLOCK)])
+        if estimator == "linear":
             chis = tomography.linear_process_fit(_DESIGNS, counts)
-            scores.append(tomography.mub_fidelities(chis)[1])
-        scores = np.concatenate(scores, axis=1)
-    else:
-        draws = np.array([rng.poisson(means) for rng in rngs])
-        scores = np.array(
-            [
-                tomography.mub_fidelities([fit_channel(kets, c) for c in counts], repair=True)[1]
-                for kets, counts in zip(_DESIGNS, np.split(draws, [len(_DESIGNS[0])], axis=1))
-            ]
-        )
+        else:
+            designs = np.split(counts, [len(_DESIGNS[0])], axis=1)
+            chis = [[fit_channel(kets, c) for c in cs] for kets, cs in zip(_DESIGNS, designs)]
+        scores.append(tomography.mub_fidelities(chis, repair=estimator == "mle")[1])
+    scores = np.concatenate(scores, axis=1)
     # one row per design, each reduced as the 1-D array of its scores
     mean, err = scores.mean(axis=1), scores.std(axis=1, ddof=1)
     return {

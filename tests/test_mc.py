@@ -68,6 +68,33 @@ class TestTrialRngs:
         a, b = mc.trial_rngs(0, 2)
         assert a.random() != b.random()
 
+    @pytest.mark.parametrize("block", [3, mc._BLOCK])
+    def test_streams_match_one_spawn(self, block, monkeypatch):
+        # spawned a block at a time, the streams are those of one spawn of
+        # every trial's seed
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        for seed in (0, 7):
+            for n in (block - 1, block, block + 1, 2 * block + 1):
+                one_spawn = [
+                    np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)
+                ]
+                states = [r.bit_generator.state for r in mc.trial_rngs(seed, n)]
+                assert states == [r.bit_generator.state for r in one_spawn]
+
+    def test_peak_memory_is_bounded(self):
+        # the streams are consumed one at a time, so at most one block of
+        # seeds is held; a list of every generator made the peak grow with n
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                for _ in mc.trial_rngs(0, trials):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * mc._BLOCK) < 1.5 * peak(mc._BLOCK)
+
 
 class TestPoissonResample:
     def make_table(self, seed=0, rate=200.0):
@@ -375,37 +402,59 @@ class TestDesignStudyOracle:
 
 
 class TestLinearBlocks:
-    """The linear chain runs in blocks of ``mc._BLOCK`` trials, which leave no trace in its outcome."""
+    """Both design-study chains run in blocks of ``mc._BLOCK`` trials, which leave no trace.
+
+    The mle chain runs with ``quick_mle``'s fits, which the linear one never calls.
+    """
 
     # at rate 14, seed 0 first lacks basis counts at trial 6 and seed 11 at
     # trial 3: in blocks of 3, the third block and the second raise
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_small_blocks_match_oracle(self, seed, monkeypatch):
+    @pytest.mark.parametrize(
+        "estimator, seed",
+        [
+            pytest.param("linear", 0, id="0"),
+            pytest.param("linear", 11, id="11"),
+            pytest.param("mle", 0, id="mle-0"),
+            pytest.param("mle", 11, id="mle-11"),
+        ],
+    )
+    def test_small_blocks_match_oracle(self, estimator, seed, quick_mle, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK", 3)
         for trials in range(2, 8):
             for rate in (150, 14):
-                assert_study_matches_oracle(rate=rate, trials=trials, seed=seed, estimator="linear")
+                assert_study_matches_oracle(rate=rate, trials=trials, seed=seed, estimator=estimator)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_edges_match_one_block(self, offset, monkeypatch):
-        trials = mc._BLOCK + offset
-        blocked = mc.mub_design_study(trials=trials, seed=3)
+    # a quick mle fit takes about 2 ms per trial, so that chain's edges are
+    # those of 64-trial blocks
+    @pytest.mark.parametrize(
+        "estimator, block, offset",
+        [pytest.param("linear", mc._BLOCK, k, id=str(k)) for k in (-1, 0, 1)]
+        + [pytest.param("mle", 64, k, id=f"mle-{k}") for k in (-1, 0, 1)],
+    )
+    def test_block_edges_match_one_block(self, estimator, block, offset, quick_mle, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        trials = block + offset
+        blocked = mc.mub_design_study(trials=trials, seed=3, estimator=estimator)
         monkeypatch.setattr(mc, "_BLOCK", trials + 1)
-        assert mc.mub_design_study(trials=trials, seed=3) == blocked
+        assert mc.mub_design_study(trials=trials, seed=3, estimator=estimator) == blocked
 
-    def test_peak_memory_is_bounded(self):
-        # one block's draws and estimates are held at a time; holding every
-        # trial's draws made the peak 3.9 times larger at 4 blocks than at one
-        def peak(trials):
+    def test_peak_memory_is_bounded(self, quick_mle, monkeypatch):
+        # one block's generators, draws and estimates are held at a time; a
+        # chain holding every trial's grows the peak about fourfold from one
+        # block to four (3.5 times on the mle chain in the 64-trial blocks
+        # that keep its quick fits short)
+        def peak(trials, estimator):
             tracemalloc.start()
             try:
-                mc.mub_design_study(trials=trials)
+                mc.mub_design_study(trials=trials, estimator=estimator)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        mc.mub_design_study(trials=2)  # the caches are built before the measurement
-        assert peak(4 * mc._BLOCK) < 1.5 * peak(mc._BLOCK)
+        for estimator, block in (("linear", mc._BLOCK), ("mle", 64)):
+            monkeypatch.setattr(mc, "_BLOCK", block)
+            mc.mub_design_study(trials=2, estimator=estimator)  # caches built beforehand
+            assert peak(4 * block, estimator) < 1.5 * peak(block, estimator)
 
 
 def delta_method_std(kets, means, rel_step=1e-4):

@@ -939,7 +939,7 @@ class TestProcessReconstruction:
             tomography.noisy_model_chi(), algebra.projector(kets), repair=True
         )
         means = mc._poisson_means(truth, 2000)
-        rngs = mc.trial_rngs(0, 50)
+        rngs = list(mc.trial_rngs(0, 50))
         draws = []
         for t in (40, 49):
             tables = map(tomography.CountsTable, rngs[t].poisson(means))
