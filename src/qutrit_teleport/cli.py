@@ -37,7 +37,7 @@ MAX_EXPOSURE = 1e18
 # the largest grid, 1000x1000, peaks near 1.5 GB.
 MAX_GRID_STATES = 1_000_000
 # mub_study holds one block of trials' generators and draws at a time, so the
-# cap peaks near 66 MB, against 64 MB at 20,000 trials (with one BLAS thread).
+# cap peaks near 50 MB, as 20,000 trials do (with one BLAS thread).
 MAX_TRIALS = 100_000
 
 

@@ -7,8 +7,8 @@ depend on execution order.
 ``poisson_resample`` excludes and counts the trials it cannot estimate;
 the design and convergence studies stop at the first one instead (the CLI
 exits 4). One shared loop would have to branch on its caller. Streams are
-spawned, and the design study runs, one block of trials at a time, so
-memory hardly grows with the trial count.
+spawned, and the design study runs, a block of trials at a time, so memory
+stays flat; its linear chain scores one functional of the normalized counts.
 """
 
 from __future__ import annotations
@@ -188,24 +188,39 @@ def _design_truth():
     return weights
 
 
+@functools.cache
+def _linear_scores():
+    """Read-only V (21, 9), rows as in ``_design_truth``: the linear chain's unit-table scores.
+
+    A trial's score of a design is sum_i V_i . p_i, p_i input i's ``tomography._frequencies``.
+    """
+    scores = []
+    for kets in _DESIGNS:
+        units = np.eye(9 * len(kets)).reshape(-1, len(kets), 9)
+        b = tomography._output_vector(tomography._linear_inversion(units))
+        chis = tomography._least_squares(tomography._fit_design(kets)[1], b)
+        scores.append(tomography.mub_fidelities(chis)[1])
+    scores = np.concatenate(scores).reshape(-1, 9)
+    scores.flags.writeable = False
+    return scores
+
+
 def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
     """Compare MUB-input vs canonical-input process tomography designs.
 
-    The true channel is ``tomography.noisy_model_chi()``, 0.55 * identity
-    + 0.45 * depolarizing.
-    Each trial refits chi from Poisson tomography with either the twelve
-    MUB inputs or the nine canonical tomography inputs, then scores the
+    The true channel is ``tomography.noisy_model_chi()``, 0.55 * identity +
+    0.45 * depolarizing. Each trial refits chi from Poisson tomography with
+    either the twelve MUB inputs or the nine canonical ones, then scores the
     mean fidelity of the twelve MUB states through the fitted channel.
 
-    Both chains draw, fit and score one block of trials at a time; within a
-    block every MUB-design fit comes before any canonical one. The default
+    Both chains draw and score a block of trials at a time. The default
     'linear' chain (linear inversion, then the unconstrained least-squares
-    chi) fits both designs in one stacked call. It is not unbiased: linear
-    inversion divides each count by its basis-triple sum, and E[1/S] >
-    1/E[S] (Jensen), so the trial means sit above the true 0.700, by about
-    0.007 at rate 150 (about 0.031 at 37.5, 0.0006 at 2000). The 'mle'
-    chain (maximum-likelihood states, then the constrained chi fit, one
-    trial at a time) is physical but noticeably biased low at low rates.
+    chi) is real-linear in the normalized counts, so a block's scores are one
+    precomputed functional (``_linear_scores``). It is biased high: linear
+    inversion divides each count by its basis-triple sum S, and E[1/S] >
+    1/E[S], so the means sit about 0.007 above the true 0.700 at rate 150
+    (0.031 at 37.5, 0.0006 at 2000). The 'mle' chain (MLE states, then the
+    constrained chi fit, per trial) is physical but biased low at low rates.
     """
     _check_trials(trials)
     if estimator not in ("linear", "mle"):
@@ -217,11 +232,12 @@ def mub_design_study(rate=150, trials=100, seed=0, estimator="linear"):
         # each trial draws its MUB counts, then its canonical ones, in one call
         counts = np.array([rng.poisson(means) for rng in itertools.islice(rngs, _BLOCK)])
         if estimator == "linear":
-            chis = tomography.linear_process_fit(_DESIGNS, counts)
+            per_input = (tomography._frequencies(counts) * _linear_scores()).sum(-1)
+            scores.append([s.sum(-1) for s in np.split(per_input, [len(_DESIGNS[0])], -1)])
         else:
             designs = np.split(counts, [len(_DESIGNS[0])], axis=1)
             chis = [[fit_channel(kets, c) for c in cs] for kets, cs in zip(_DESIGNS, designs)]
-        scores.append(tomography.mub_fidelities(chis, repair=estimator == "mle")[1])
+            scores.append(tomography.mub_fidelities(chis, repair=True)[1])
     scores = np.concatenate(scores, axis=1)
     # one row per design, each reduced as the 1-D array of its scores
     mean, err = scores.mean(axis=1), scores.std(axis=1, ddof=1)

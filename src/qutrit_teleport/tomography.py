@@ -87,14 +87,18 @@ def simulate_counts(rho, exposure, rng):
     return CountsTable(rng.poisson(exposure * np.clip(born_probabilities(rho), 0.0, None)))
 
 
-def _linear_inversion(counts):
-    """Estimates (..., 3, 3) from counts (..., 9), each on its own."""
+def _frequencies(counts):
+    """Counts (..., 9) as floats over their basis-triple sums, each table on its own."""
     c = np.asarray(counts, dtype=float)
     basis_total = c[..., :3].sum(axis=-1, keepdims=True)
     if (basis_total == 0).any():
         raise InsufficientDataError("basis-projector counts are all zero")
-    p = c / basis_total  # diagonal normalized to the basis-triple sum
-    rho = np.zeros(c.shape[:-1] + (3, 3), dtype=complex)
+    return c / basis_total
+
+
+def _linear_inversion(p):
+    """Estimates (..., 3, 3) from ``_frequencies`` (..., 9), each real-linear in its table."""
+    rho = np.zeros(p.shape[:-1] + (3, 3), dtype=complex)
     for j in range(3):
         rho[..., j, j] = p[..., j]
     for (j, k), (i_re, i_im) in {(0, 1): (3, 4), (0, 2): (5, 6), (1, 2): (7, 8)}.items():
@@ -238,7 +242,7 @@ def _mle(counts):
         return f[0], (f[1:] - f[0]) / h
 
     # linear inversion needs the basis counts; without them the seed is I/3
-    x = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(c))
+    x = _rho_to_t(np.eye(3) / 3 if c[:3].sum() == 0 else _linear_inversion(_frequencies(c)))
     # the loop of scipy's minimize(method="L-BFGS-B") for this problem, with
     # its work arrays and its reverse-communication tasks: 3 asks for f and g
     # at x, 1 reports a new iterate, 4 is convergence, anything else a stop
@@ -279,7 +283,7 @@ def reconstruct_state(counts, method="mle"):
     possibly indefinite); the MLE result is PSD and trace 1 by construction.
     """
     if method == "linear":
-        return _linear_inversion(counts.counts)
+        return _linear_inversion(_frequencies(counts.counts))
     if method == "mle":
         return _mle(counts)
     raise ValueError(f"unknown method {method!r}")
@@ -421,19 +425,11 @@ def mub_fidelities(chi, repair=False):
 # --- chi reconstruction ---------------------------------------------------
 
 
-def _real_rows(values):
-    """Values (162, ..., 9) on the unit chi's -> the real matrix of the map.
-
-    Each group of nine entries gives nine rows of real parts, then nine of
-    imaginary parts.
-    """
-    return np.stack([values.real, values.imag], axis=-2).reshape(len(values), -1).T
-
-
 def _design_operator(inputs):
-    """Real (18 n, 162) matrix mapping chi.view(float) to the stacked output entries."""
+    """Real (18 n, 162) matrix mapping chi.view(float) to the outputs' ``_output_vector``."""
     rhos = algebra.projector(inputs).reshape(-1, _N, 1)
-    return _real_rows((_liouville(_UNIT_CHIS)[:, np.newaxis] @ rhos)[..., 0])
+    outputs = (_liouville(_UNIT_CHIS)[:, np.newaxis] @ rhos).reshape(len(_UNIT_CHIS), -1, 3, 3)
+    return _output_vector(outputs).T
 
 
 def _output_vector(outputs):
@@ -457,25 +453,13 @@ def linear_process_fit(inputs, counts):
     basis-triple sum S, and E[1/S] > 1/E[S], so at 150 counts per state
     the MUB fidelity of ``noisy_model_chi`` reads about 0.007 high. A
     stack of count sets gives the same bits as its sets one by one.
-
-    ``inputs`` may also be a sequence of k input sets, with their counts
-    concatenated on the input axis. One linear inversion then serves them
-    all, and the k fits come back stacked, (k, ..., 9, 9), each with the
-    bits of its own call.
     """
-    several = len(inputs) > 0 and np.ndim(inputs[0]) == 2
-    sets = [np.asarray(k, dtype=complex) for k in (inputs if several else [inputs])]
-    n = sum(len(k) for k in sets)
+    kets = np.asarray(inputs, dtype=complex)
     counts = np.asarray(counts)
-    if any(k.ndim != 2 for k in sets) or counts.shape[-2:] != (n, 9):
-        raise DimensionError(f"expected counts (..., {n}, 9), got {counts.shape}")
-    outputs = _linear_inversion(counts)
-    chis, start = [], 0
-    for kets in sets:
-        b = _output_vector(outputs[..., start : start + len(kets), :, :])
-        chis.append(_least_squares(_fit_design(kets)[1], b))
-        start += len(kets)
-    return np.stack(chis) if several else chis[0]
+    if kets.ndim != 2 or counts.shape[-2:] != (len(kets), 9):
+        raise DimensionError(f"expected counts (..., {len(kets)}, 9), got {counts.shape}")
+    _, pinv, _, _ = _fit_design(kets)
+    return _least_squares(pinv, _output_vector(_linear_inversion(_frequencies(counts))))
 
 
 def _fit_design(inputs):

@@ -12,7 +12,8 @@ record:
 and list in CHANGES.md every field that the regeneration moved. With
 ``--check COMMAND ...`` the script compares the named commands with their
 records instead, and exits 1 on the first difference. ``tests/test_golden.py``
-replays ``FAST`` in the suite; CI checks ``SLOW``, the three slow defaults.
+replays ``FAST`` in the suite; CI checks ``SLOW``, the three slow defaults
+and the largest design study.
 """
 
 import argparse
@@ -44,7 +45,13 @@ FAST = (
     # some state gets no basis counts: exit 4
     "mub_study --exposure 1",
 )
-SLOW = ("mc_errors", "mc_errors --exposure 20", "convergence --exposure 2000")
+SLOW = (
+    "mc_errors",
+    "mc_errors --exposure 20",
+    "convergence --exposure 2000",
+    # the largest design study that --trials allows
+    "mub_study --trials 100000",
+)
 SUFFIXES = ("stdout", "stderr", "exit", "csv")
 
 

@@ -297,7 +297,7 @@ class TestCli:
         assert not out.exists()
 
     def test_most_trials_parse(self):
-        # parsed only: the study would take seconds and peak near 66 MB
+        # parsed only: the study would take seconds and peak near 50 MB
         args = cli.build_parser().parse_args(["mub_study", "--trials", str(cli.MAX_TRIALS)])
         assert args.trials == cli.MAX_TRIALS == 100_000
 

@@ -167,7 +167,7 @@ def ref_mle(counts):
         lam = s * p
         return float(np.sum(lam - c * np.log(lam)))
 
-    t0 = tomography._rho_to_t(tomography._linear_inversion(counts.counts))
+    t0 = tomography._rho_to_t(tomography._linear_inversion(tomography._frequencies(c)))
     res = minimize(neg_loglik, t0, method="L-BFGS-B", options={"ftol": 1e-14, "gtol": 1e-10})
     return ref_t_to_rho(res.x), res
 
@@ -215,7 +215,7 @@ def ref_stacked_mle(counts, max_fun=tomography.MLE_MAX_FUN):
         f = tomography._neg_loglik(points, c, total)
         return f[0], (f[1:] - f[0]) / h
 
-    t0 = tomography._rho_to_t(tomography._linear_inversion(c))
+    t0 = tomography._rho_to_t(tomography._linear_inversion(tomography._frequencies(c)))
     res = minimize(
         fun_and_grad,
         t0,
@@ -850,17 +850,6 @@ class TestProcessReconstruction:
             assert stacked.shape == (4, 5, 9, 9)
             for c, chi in zip(counts.reshape(20, len(inputs), 9), stacked.reshape(20, 9, 9)):
                 assert np.array_equal(chi, tomography.linear_process_fit(inputs, c))
-
-    def test_linear_fit_of_several_sets_equals_each_set(self):
-        rng = np.random.default_rng(27)
-        sets = (algebra.MUB_KETS, tomography.CANONICAL_KETS)
-        counts = rng.poisson(30.0, size=(4, 21, 9))
-        stacked = tomography.linear_process_fit(sets, counts)
-        assert stacked.shape == (2, 4, 9, 9)
-        assert np.array_equal(stacked[0], tomography.linear_process_fit(sets[0], counts[:, :12]))
-        assert np.array_equal(stacked[1], tomography.linear_process_fit(sets[1], counts[:, 12:]))
-        with pytest.raises(DimensionError, match=r"expected counts \(\.\.\., 21, 9\)"):
-            tomography.linear_process_fit(sets, counts[:, :12])
 
     def test_linear_fit_rejects_mismatched_counts(self):
         with pytest.raises(DimensionError, match="expected counts"):
