@@ -51,8 +51,6 @@ def _round_floats(obj):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _round_floats(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _round_floats(obj.item())
     return obj
 
 
@@ -246,20 +244,7 @@ def cmd_certify(args):
 
 def cmd_mc_errors(args):
     chi, _ = dataset.reference_chi()
-    rng = np.random.default_rng(args.seed)
-    inputs = dataset.reference_targets()[:9]
-    outs = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
-    tables = [mc.counts_for_state(rho_out, args.exposure, rng) for rho_out in outs]
-
-    def statistic(resampled):
-        chi = mc.fit_channel(inputs, [t.counts for t in resampled])
-        return tomography.process_fidelity(chi)
-
-    ens = mc.poisson_resample(tables, statistic, args.trials, args.seed)
-    if len(ens.samples) < 2:
-        raise InsufficientDataError(
-            f"{len(ens.samples)} of {args.trials} trials gave a value; an error bar needs two"
-        )
+    ens = mc.process_fidelity_study(chi, args.exposure, args.trials, args.seed)
     results = {
         "statistic": "process_fidelity",
         "mean": ens.mean,

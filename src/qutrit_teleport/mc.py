@@ -2,7 +2,8 @@
 
 Every ensemble is a pure function of (inputs, seed, n_trials): trial RNG
 streams are spawned from one master SeedSequence, so results do not
-depend on execution order.
+depend on execution order. The three studies (process fidelity,
+convergence, MUB design) take their truth from ``_channel_weights``.
 
 ``poisson_resample`` excludes and counts the trials it cannot estimate;
 the design and convergence studies stop at the first one instead (the CLI
@@ -91,13 +92,9 @@ def _rate_means(weights, rate):
     return float(rate) / sums * probs
 
 
-def _poisson_means(rho, rate):
-    """Poisson means (..., 9) of one tomography run per state, over rho's leading axes.
-
-    ``rate`` is the expected total count over all nine settings of each
-    state; the exposure is split accordingly.
-    """
-    return _rate_means(_born_weights(rho), rate)
+def _channel_weights(chi, kets):
+    """``_born_weights`` of chi's repaired outputs of the input ``kets``: a study's truth."""
+    return _born_weights(tomography.apply_process(chi, algebra.projector(kets), repair=True))
 
 
 def counts_for_state(rho, rate, rng):
@@ -105,7 +102,7 @@ def counts_for_state(rho, rate, rng):
 
     ``rate`` is the expected total count over all nine settings.
     """
-    return tomography.CountsTable(rng.poisson(_poisson_means(rho, rate)))
+    return tomography.CountsTable(rng.poisson(_rate_means(_born_weights(rho), rate)))
 
 
 def fit_channel(inputs, counts):
@@ -116,6 +113,27 @@ def fit_channel(inputs, counts):
     """
     states = [tomography.reconstruct_state(tomography.CountsTable(c), "mle") for c in counts]
     return tomography.reconstruct_process(list(zip(inputs, states))).chi
+
+
+def process_fidelity_study(chi, rate, trials, seed):
+    """Monte Carlo error bar of the process fidelity of chi refitted from tomography.
+
+    One stacked draw from ``default_rng(seed)`` gives each canonical input's
+    observed table at ``rate``; ``poisson_resample`` refits each trial.
+    """
+    inputs = tomography.CANONICAL_KETS
+    means = _rate_means(_channel_weights(chi, inputs), rate)
+    observed = np.random.default_rng(seed).poisson(means)
+
+    def statistic(resampled):
+        return tomography.process_fidelity(fit_channel(inputs, [t.counts for t in resampled]))
+
+    ens = poisson_resample(list(map(tomography.CountsTable, observed)), statistic, trials, seed)
+    if len(ens.samples) < 2:
+        raise InsufficientDataError(
+            f"{len(ens.samples)} of {trials} trials gave a value; an error bar needs two"
+        )
+    return ens
 
 
 # Each convergence statistic scores a stack of probe states after the channel,
@@ -155,8 +173,7 @@ def convergence_study(
     if not grid or min(grid) < 1:
         raise ValueError("grid needs at least one probe state per point")
     inputs = tomography.CANONICAL_KETS
-    truth = tomography.apply_process(chi, algebra.projector(inputs), repair=True)
-    means = _poisson_means(truth, rate)
+    means = _rate_means(_channel_weights(chi, inputs), rate)
     values = np.zeros((trials, len(grid)))
     for t, rng in enumerate(trial_rngs(seed, trials)):
         chi_hat = fit_channel(inputs, rng.poisson(means))
@@ -179,10 +196,7 @@ def _design_truth():
 
     The rows (21, 9) and (21, 1) hold the MUB inputs, then the canonical ones.
     """
-    inputs = algebra.projector(np.concatenate(_DESIGNS))
-    weights = _born_weights(
-        tomography.apply_process(tomography.noisy_model_chi(), inputs, repair=True)
-    )
+    weights = _channel_weights(tomography.noisy_model_chi(), np.concatenate(_DESIGNS))
     for w in weights:
         w.flags.writeable = False
     return weights
@@ -255,6 +269,7 @@ __all__ = [
     "poisson_resample",
     "counts_for_state",
     "fit_channel",
+    "process_fidelity_study",
     "StudyResult",
     "convergence_study",
     "mub_design_study",

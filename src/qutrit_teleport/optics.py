@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
+from .errors import DegenerateOutcomeError
 from .protocol import ChannelSpec
 
 AMP_CUTOFF = 1e-14
@@ -79,10 +80,6 @@ class FockState:
         """Amplitude of the normalized Fock state with the given photon modes."""
         pattern = tuple(sorted(modes))
         return self.terms.get(pattern, 0.0) * _sym_factor(pattern)
-
-    def __repr__(self):
-        parts = [f"{a:+.4f} |{p}>" for p, a in sorted(self.terms.items())]
-        return "FockState(" + " ".join(parts) + ")"
 
 
 def _sym_factor(pattern):
@@ -432,10 +429,9 @@ def run_teleportation(input_state, channel=None, visibility=None):
     kraus = _kraus_set(channel, visibility or VisibilityModel())
     out = kraus @ phi
     total_prob = float(np.vdot(out, out).real)
-    rho = out.T @ out.conj()
-    if total_prob > 0:
-        rho /= total_prob
-    return rho, total_prob
+    if total_prob == 0:
+        raise DegenerateOutcomeError("no outcome accepts this input on this channel")
+    return out.T @ out.conj() / total_prob, total_prob
 
 
 def visibility_damping_factor(model, coherence):

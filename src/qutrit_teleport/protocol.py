@@ -31,6 +31,9 @@ class ChannelSpec:
         coeffs = tuple(float(c) for c in self.schmidt_coefficients)
         if len(coeffs) != 3:
             raise DimensionError(f"expected 3 Schmidt coefficients, got {len(coeffs)}")
+        # every comparison with NaN is false, so the checks below would pass it
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("Schmidt coefficients must be finite")
         if any(c < 0 for c in coeffs):
             raise ValueError("Schmidt coefficients must be non-negative")
         if abs(sum(c * c for c in coeffs) - 1.0) > 1e-12:

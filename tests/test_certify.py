@@ -331,6 +331,14 @@ class TestClosedFormAllocation:
             if mu - 0.02 >= -1.0:
                 assert not certify.oracle_feasible(rho, mu - 0.02, slack_tol=0.0)
 
+    def test_certificate_with_only_the_02_coherence(self):
+        # |t01| = |t12| = 0 and |t02| > 0 make q = 0: level 1 goes all to block 01
+        rho = np.array([[0.5, 0, 0.3], [0, 0.2, 0], [0.3, 0, 0.3]], dtype=complex)
+        mu0 = max(certify.robustness_mu(rho), 0.0)
+        for mu in (mu0, mu0 + 0.1, 0.5, 1.0):
+            dec = certify.certificate(rho, mu)
+            assert dec.check(certify._noisy_state(rho, mu), atol=1e-7)
+
     @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)], ids=["r1", "r2", "r3"])
     def test_tiny_coherence_keeps_verdict(self, pair):
         # a coherence 1e-20 instead of 0 must not round a block entry to

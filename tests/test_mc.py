@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_teleport import algebra, certify, cli, mc, tomography
+from qutrit_teleport import algebra, certify, cli, dataset, mc, tomography
 from qutrit_teleport.errors import IllPosedError, InsufficientDataError, SolverError
 
 from helpers import count_calls
@@ -30,7 +30,12 @@ def no_fit(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "study", [mc.mub_design_study, functools.partial(mc.convergence_study, np.eye(9))]
+    "study",
+    [
+        mc.mub_design_study,
+        functools.partial(mc.convergence_study, np.eye(9)),
+        functools.partial(mc.process_fidelity_study, tomography.noisy_model_chi(), 150, seed=0),
+    ],
 )
 def test_studies_need_two_trials(study, no_fit):
     with pytest.raises(ValueError, match="at least 2 trials"):
@@ -203,6 +208,32 @@ class TestCountsForState:
     def test_rejects_non_positive_rate(self, rate):
         with pytest.raises(ValueError, match="rate must be positive"):
             mc.counts_for_state(np.eye(3) / 3, rate, np.random.default_rng(0))
+
+
+class TestProcessFidelityStudy:
+    @pytest.mark.parametrize("rate", [0.5, 20, 150, 1e6])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_observed_tables_are_sequential_draws(self, rate, seed, monkeypatch):
+        # the one stacked draw gives the tables of counts_for_state on each
+        # input's output in turn, from the one generator of the seed
+        chi, _ = dataset.reference_chi()
+        seen = []
+
+        def resample(tables, statistic, n_trials, resample_seed):
+            seen.append((tables, resample_seed))
+            return mc.ResampleEnsemble(samples=np.zeros(2), n_excluded=0)
+
+        monkeypatch.setattr(mc, "poisson_resample", resample)
+        mc.process_fidelity_study(chi, rate, 2, seed)
+        kets = tomography.CANONICAL_KETS
+        outs = tomography.apply_process(chi, algebra.projector(kets), repair=True)
+        rng = np.random.default_rng(seed)
+        assert seen == [([mc.counts_for_state(rho, rate, rng) for rho in outs], seed)]
+
+    def test_needs_two_kept_trials(self):
+        # at rate 0.5 every trial lacks basis counts and is excluded
+        with pytest.raises(InsufficientDataError, match="0 of 2 trials gave a value"):
+            mc.process_fidelity_study(tomography.noisy_model_chi(), 0.5, 2, 0)
 
 
 class TestConvergenceStudy:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qutrit_teleport import algebra, optics, protocol, tomography
-from qutrit_teleport.errors import DimensionError
+from qutrit_teleport.errors import DegenerateOutcomeError, DimensionError
 from qutrit_teleport.optics import BD, DUMP_RAIL, HWP, PBS, FockState, Mode, H, V
 
 S2 = math.sqrt(2)
@@ -299,6 +299,17 @@ class TestFullRun:
         rho, prob = optics.run_teleportation(phi)
         assert abs(prob - 1 / 18) < 1e-9
         assert abs(algebra.fidelity(rho, phi) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_no_accepted_outcome_raises(self, level):
+        # the channel carries only |00>, so no outcome accepts |1> or |2>:
+        # there is no conditional state to return
+        channel = protocol.ChannelSpec((1.0, 0.0, 0.0))
+        with pytest.raises(DegenerateOutcomeError):
+            optics.run_teleportation(algebra.ket(level), channel)
+        rho, prob = optics.run_teleportation(algebra.ket(0), channel)
+        assert prob > 0
+        assert abs(algebra.fidelity(rho, algebra.ket(0)) - 1.0) < 1e-9
 
 
 class TestVisibility:

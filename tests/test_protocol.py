@@ -39,6 +39,16 @@ class TestChannelSpec:
         with pytest.raises(DimensionError, match="3 Schmidt coefficients"):
             protocol.ChannelSpec(coeffs)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(math.nan,) * 3, (math.inf, 0.0, 0.0), (-math.inf, 2 / 3, 1 / 3), (math.nan, 2 / 3, 2 / 3)],
+        ids=["all-nan", "inf", "minus-inf", "one-nan"],
+    )
+    def test_rejects_non_finite(self, coeffs):
+        # every comparison with NaN is false: the sign and norm checks pass it
+        with pytest.raises(ValueError, match="must be finite"):
+            protocol.ChannelSpec(coeffs)
+
     def test_state_vector(self):
         v = channel_state_vector(protocol.ChannelSpec.rebalanced())
         assert abs(v[0] - 2 / 3) < 1e-12

@@ -924,10 +924,7 @@ class TestProcessReconstruction:
         # optimum, so the first step, the fixed-point residual at the start,
         # is below FIT_TOL and ends the fit within the certified distance
         kets = tomography.CANONICAL_KETS
-        truth = tomography.apply_process(
-            tomography.noisy_model_chi(), algebra.projector(kets), repair=True
-        )
-        means = mc._poisson_means(truth, 2000)
+        means = mc._rate_means(mc._channel_weights(tomography.noisy_model_chi(), kets), 2000)
         rngs = list(mc.trial_rngs(0, 50))
         draws = []
         for t in (40, 49):
